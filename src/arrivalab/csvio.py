@@ -31,6 +31,11 @@ def format_number(v) -> str:
     return format(float(v), f".{FLOAT_DIGITS}g")
 
 
+# bulk rows, streamed; the float field formats as format_number does
+_TRACE_ROW = f"{{}},{{:.{FLOAT_DIGITS}g}}\n"
+_OCCUPANCY_ROW = f"{{:.{FLOAT_DIGITS}g}},{{}}\n"
+
+
 def _provenance_lines(provenance: dict[str, str]) -> list[str]:
     return [f"# {key}={value}" for key, value in provenance.items()]
 
@@ -56,11 +61,9 @@ def write_trace_csv(path, trace: ArrivalTrace, provenance: dict[str, str] | None
     prov.setdefault("seed", str(trace.seed))
     prov.setdefault("stream_id", str(trace.stream_id))
     prov.setdefault("count", str(len(trace)))
-    lines = _provenance_lines(prov)
-    lines.append("index,time")
-    for i, t in enumerate(trace.times):
-        lines.append(f"{i},{format_number(t)}")
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as fh:
+        fh.write("\n".join([*_provenance_lines(prov), "index,time"]) + "\n")
+        fh.writelines(map(_TRACE_ROW.format, range(len(trace)), trace.times.tolist()))
     return path
 
 
@@ -81,11 +84,9 @@ def write_occupancy_csv(path, series: OccupancySeries, provenance: dict[str, str
     prov["peak_time"] = format_number(ps.peak_time)
     prov["mean_occupancy"] = format_number(ps.mean_occupancy)
     prov["blocking_fraction"] = format_number(blocking_fraction(series)) if total else "nan"
-    lines = _provenance_lines(prov)
-    lines.append("time,count")
-    for t, c in zip(series.breakpoints, series.counts):
-        lines.append(f"{format_number(t)},{int(c)}")
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as fh:
+        fh.write("\n".join([*_provenance_lines(prov), "time,count"]) + "\n")
+        fh.writelines(map(_OCCUPANCY_ROW.format, series.breakpoints.tolist(), series.counts.tolist()))
     return path
 
 

@@ -143,10 +143,12 @@ class ExperimentConfig:
             object.__setattr__(self, name, v)
         for name, low in (("node_budget", 1), ("replications", 1), ("seed", 0)):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < low:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
                 raise ParameterError(f"{name} must be an integer >= {low}, got {v!r}")
             object.__setattr__(self, name, int(v))
-        if self.capacity is not None and (not isinstance(self.capacity, (int, np.integer)) or self.capacity < 1):
+        if self.capacity is not None and (
+            isinstance(self.capacity, bool) or not isinstance(self.capacity, (int, np.integer)) or self.capacity < 1
+        ):
             raise ParameterError(f"capacity must be a positive integer or None, got {self.capacity!r}")
         if self.holding_family not in ("exponential", "lomax", INFINITE_HOLD):
             raise ParameterError(f"unknown holding family {self.holding_family!r}")

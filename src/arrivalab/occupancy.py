@@ -10,7 +10,6 @@ to the admission decision.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,9 @@ _HOLD_SAMPLERS = {
 
 HOLDING_FAMILIES = tuple(_HOLD_SAMPLERS) + (INFINITE_HOLD,)
 
+# holding times drawn per block on the bounded path
+_HOLD_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class LocationConfig:
@@ -50,9 +52,10 @@ class LocationConfig:
 
     def __post_init__(self):
         if self.capacity is not None:
-            if not isinstance(self.capacity, (int, np.integer)) or self.capacity < 1:
-                raise ParameterError(f"capacity must be a positive integer or None, got {self.capacity!r}")
-            object.__setattr__(self, "capacity", int(self.capacity))
+            cap = self.capacity
+            if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+                raise ParameterError(f"capacity must be a positive integer or None, got {cap!r}")
+            object.__setattr__(self, "capacity", int(cap))
         fam = self.holding_family
         if fam == INFINITE_HOLD:
             if self.holding_params is not None:
@@ -111,47 +114,80 @@ class PeakStats:
 def simulate_occupancy(trace: ArrivalTrace, loc: LocationConfig, r: RngStream) -> OccupancySeries:
     """Run the loss system over a trace; returns the occupancy step series.
 
-    Holding times are drawn from ``r`` one per admission (blocked arrivals
-    consume no randomness), so a fixed (trace, config, stream) triple replays
-    the same series exactly.
+    Holding times come from ``r`` one per admission, in admission order
+    (blocked arrivals consume no randomness), so a fixed (trace, config,
+    stream) triple replays the same series exactly. They are drawn in blocks
+    of up to 4096 (one block for the whole trace when capacity is unbounded),
+    never more than the arrivals still to come, so ``r`` may be read up to
+    one block past the last admission. Each replication's holding stream is
+    private, so no output depends on that read-ahead, and a block of Philox
+    draws equals the scalar draws it replaces bit for bit.
     """
+    if loc.capacity is None and loc.holding_family != INFINITE_HOLD:
+        breakpoints, counts = _unbounded_steps(trace.times, loc, r)
+        admitted = len(trace)
+    else:
+        breakpoints, counts, admitted = _loss_system_steps(trace.times.tolist(), loc, r)
+    end = max(trace.horizon, float(breakpoints[-1])) if len(breakpoints) else trace.horizon
+    return OccupancySeries(
+        np.asarray(breakpoints, dtype=float), np.asarray(counts, dtype=np.int64),
+        admitted, len(trace) - admitted, float(end),
+    )
+
+
+def _loss_system_steps(times: list[float], loc: LocationConfig, r: RngStream):
+    """Event loop for a capacity bound or infinite holding."""
     infinite = loc.holding_family == INFINITE_HOLD
     if not infinite:
         hold_sampler, _ = _HOLD_SAMPLERS[loc.holding_family]
-    cap = loc.capacity
-
+    cap = len(times) if loc.capacity is None else loc.capacity  # unbounded: never reached
+    heappush, heappop = heapq.heappush, heapq.heappop
     departures: list[float] = []
     breakpoints: list[float] = []
     counts: list[int] = []
-    n = admitted = blocked = 0
-
-    def depart_until(t: float) -> None:
-        nonlocal n
-        while departures and departures[0] <= t:
-            dt = heapq.heappop(departures)
+    add_time, add_count = breakpoints.append, counts.append
+    holds: list[float] = []
+    used = n = admitted = 0
+    for i, at in enumerate(times):
+        # departures before arrivals on ties, so freed capacity is visible
+        while departures and departures[0] <= at:
+            add_time(heappop(departures))
             n -= 1
-            breakpoints.append(dt)
-            counts.append(n)
-
-    for at in trace.times:
-        depart_until(float(at))
-        if cap is None or n < cap:
+            add_count(n)
+        if n < cap:
             n += 1
             admitted += 1
-            if cap is not None and n > cap:  # pragma: no cover - invariant guard
-                raise RuntimeError("internal error: capacity exceeded")
-            breakpoints.append(float(at))
-            counts.append(n)
+            add_time(at)
+            add_count(n)
             if not infinite:
-                heapq.heappush(departures, float(at) + hold_sampler(r, loc.holding_params))
-        else:
-            blocked += 1
-    depart_until(math.inf)
+                if used == len(holds):
+                    size = min(_HOLD_BLOCK, len(times) - i)
+                    holds = hold_sampler(r, loc.holding_params, size=size).tolist()
+                    used = 0
+                heappush(departures, at + holds[used])
+                used += 1
+    while departures:
+        add_time(heappop(departures))
+        n -= 1
+        add_count(n)
+    return breakpoints, counts, admitted
 
-    end = max(trace.horizon, breakpoints[-1]) if breakpoints else trace.horizon
-    return OccupancySeries(
-        np.asarray(breakpoints), np.asarray(counts, dtype=np.int64), admitted, blocked, float(end)
-    )
+
+def _unbounded_steps(times: np.ndarray, loc: LocationConfig, r: RngStream):
+    """M/G/inf: every arrival is admitted, so the series is one merged sort.
+
+    Events sort on (time, kind): departures, then arrivals, then departures at
+    their own arrival instant (a hold below half an ulp of it), which the
+    event loop would also pop only after admitting that arrival.
+    """
+    hold_sampler, _ = _HOLD_SAMPLERS[loc.holding_family]
+    departures = times + hold_sampler(r, loc.holding_params, size=times.size)
+    own = departures == times
+    merged = np.concatenate([departures[~own], times, departures[own]])
+    n, k = times.size, int(own.sum())
+    steps = np.repeat(np.array([-1, 1, -1], dtype=np.int64), [n - k, n, k])
+    order = np.argsort(merged, kind="stable")
+    return merged[order], np.cumsum(steps[order])
 
 
 def peak_stats(s: OccupancySeries) -> PeakStats:

@@ -49,7 +49,7 @@ class RngStream:
 
     def __init__(self, seed: int, stream_id: int = 0):
         for name, value in (("seed", seed), ("stream_id", stream_id)):
-            if not isinstance(value, (int, np.integer)) or not 0 <= value < _U64_MAX:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value < _U64_MAX:
                 raise ParameterError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
         self.seed = int(seed)
         self.stream_id = int(stream_id)

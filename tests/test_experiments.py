@@ -75,6 +75,11 @@ class TestExperimentConfig:
         with pytest.raises(ParameterError):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["seed", "capacity", "node_budget", "replications"])
+    def test_rejects_bool_integers(self, name):
+        with pytest.raises(ParameterError):
+            ExperimentConfig(**{name: True})
+
     def test_capacity_defaults_to_node_budget(self):
         assert ExperimentConfig().effective_capacity() == 20
         assert ExperimentConfig(capacity=5).effective_capacity() == 5

@@ -149,6 +149,11 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             LocationConfig(0)
 
+    @pytest.mark.parametrize("capacity", [True, False, np.bool_(True)])
+    def test_rejects_bool_capacity(self, capacity):
+        with pytest.raises(ParameterError):
+            LocationConfig(capacity)
+
     def test_rejects_unknown_family(self):
         with pytest.raises(ParameterError):
             LocationConfig(1, "weibull")
