@@ -7,10 +7,20 @@ one-parameter Pareto family ``F(x) = 1 - (1 + x)^(-shape)``, the Lomax
 and the continuity-corrected normal approximation to the Poisson pmf.
 
 All evaluators accept a float or a numpy array for the evaluation point and
-return the matching kind. Masses and densities are computed in log space
-(log-gamma for factorials) so large counts or means do not overflow, and
-survival functions come from their own closed forms rather than ``1 - cdf``
-so deep-tail values keep full relative precision.
+return the matching kind. Masses and densities are computed in log space so
+large counts or means do not overflow, and survival functions come from their
+own closed forms rather than ``1 - cdf`` so deep-tail values keep full
+relative precision.
+
+The log-factorial in the Poisson pmf is a port of the Cephes ``lgam`` routine
+(S. L. Moshier, *Methods and Programs for Mathematical Functions*, 1989), the
+one behind ``scipy.special.gammaln``, restricted to integer arguments: an
+exact product below 13, Stirling's series with Cephes' coefficients above,
+every logarithm taken by ``math.log``. It reproduces ``gammaln`` bit for bit,
+so the sweep and simulate paths never import scipy, whose import would be
+most of their start-up time; ``math.lgamma`` and ``np.log`` each differ from
+it in the last bit. Only :func:`normal_approx_pmf` loads ``scipy.special``,
+for ``ndtr``.
 """
 
 from __future__ import annotations
@@ -19,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtr
 
 from .errors import DomainError, ParameterError
 
@@ -133,6 +142,39 @@ def _like(x, out):
 
 # --- Poisson count law ------------------------------------------------------
 
+# log(k!) for k < 12: the exact products Cephes lgam forms below 13
+_LOG_SMALL_FACTORIALS = tuple(math.log(float(math.factorial(k))) for k in range(12))
+_LGAM_MAX = 2.556348e305  # Cephes MAXLGM: lgam overflows above it
+_LOG_SQRT_2PI = 0.91893853320467274178
+_STIRLING = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+
+
+def _lgamma_integer(x: float) -> float:
+    """``log((x - 1)!)`` for an integer-valued float ``x >= 1``, in Cephes
+    ``lgam``'s operation order, so it equals ``scipy.special.gammaln(x)``."""
+    if x < 13.0:
+        return _LOG_SMALL_FACTORIALS[int(x) - 1]
+    if x > _LGAM_MAX:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    a = _STIRLING[0]
+    for c in _STIRLING[1:]:
+        a = a * p + c
+    return q + a / x
+
+
 def poisson_pmf(n, p: PoissonParams):
     """Probability of exactly ``n`` arrivals over the window.
 
@@ -141,7 +183,8 @@ def poisson_pmf(n, p: PoissonParams):
     """
     k = _as_count(n)
     m = p.mean
-    return _like(n, np.exp(k * math.log(m) - m - gammaln(k + 1.0)))
+    log_fact = np.fromiter(map(_lgamma_integer, (k + 1.0).ravel().tolist()), float, k.size)
+    return _like(n, np.exp(k * math.log(m) - m - log_fact.reshape(k.shape)))
 
 
 def poisson_cdf(n, p: PoissonParams):
@@ -263,6 +306,8 @@ def normal_approx_pmf(n, p: PoissonParams):
     mean grows; poor for small means, which is what makes the comparison
     interesting.
     """
+    from scipy.special import ndtr
+
     k = _as_count(n)
     m = p.mean
     s = math.sqrt(m)

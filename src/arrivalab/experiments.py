@@ -502,6 +502,9 @@ def run_validation_suite(config: ExperimentConfig | None = None) -> ValidationRe
     Failures are report entries, never exceptions; the mismatch entry is
     *supposed* to report "expected-mismatch".
     """
+    # load it before the KS checks: its bundled OpenBLAS starts a thread that slows them
+    import scipy.special  # noqa: F401
+
     cfg = config if config is not None else ExperimentConfig()
     checks: list[ValidationCheck] = []
     block = 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from arrivalab import (
     DEFAULT_SHAPE_SWEEP,
@@ -27,6 +28,7 @@ from arrivalab import (
     poisson_cdf,
     poisson_pmf,
 )
+from arrivalab.distributions import _lgamma_integer
 
 
 def central_difference(f, x, h=1e-5):
@@ -315,3 +317,42 @@ class TestArrayScalarParity:
     def test_scalar_returns_python_float(self):
         assert isinstance(exp_cdf(1.0, ExponentialParams(1.0)), float)
         assert isinstance(poisson_pmf(3, PoissonParams(1.0, 1.0)), float)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestLogFactorialMatchesScipy:
+    """The integer log-gamma is a port of Cephes lgam: scipy's gammaln is the
+    oracle, and agreement is bit for bit, not to a tolerance."""
+
+    @staticmethod
+    def lgamma(x: np.ndarray) -> np.ndarray:
+        return np.array([_lgamma_integer(v) for v in x.tolist()])
+
+    def test_every_count_up_to_200000(self):
+        x = np.arange(200_001, dtype=float) + 1.0
+        assert same_bits(self.lgamma(x), gammaln(x))
+
+    def test_log_spaced_counts_and_branch_points(self):
+        k = np.unique(np.floor(np.logspace(0, 308, 5000)))
+        # both sides of the 13, 1000, 1e8 and overflow branches of lgam
+        edges = [b + d for b in (12.0, 999.0, 1e8 - 1.0) for d in (-1.0, 0.0, 1.0, 2.0)]
+        edges += [np.nextafter(2.556348e305, 0.0) - 1.0, 2.556348e305 - 1.0, np.nextafter(2.556348e305, np.inf)]
+        x = np.concatenate([k, np.floor(np.array(edges))]) + 1.0
+        got = self.lgamma(x)
+        assert np.isinf(got).any() and np.isfinite(got).any()
+        assert same_bits(got, gammaln(x))
+
+    @pytest.mark.parametrize("mean", [0.3, 0.9, 5.0, 100.0, 1e4])
+    def test_poisson_pmf_matches_gammaln_form(self, mean):
+        p = PoissonParams(mean, 1.0)
+        k = np.arange(2 * int(mean + 10 * math.sqrt(mean) + 10), dtype=float)
+        want = np.exp(k * math.log(mean) - mean - gammaln(k + 1.0))
+        assert same_bits(poisson_pmf(k, p), want)
+        assert same_bits(poisson_pmf(k.reshape(-1, 2)[:, ::-1], p), want.reshape(-1, 2)[:, ::-1])
+        for i in (0, 1, 12, len(k) - 1):
+            assert same_bits(poisson_pmf(int(k[i]), p), want[i])
+            assert same_bits(poisson_pmf(np.array(k[i]), p), want[i])

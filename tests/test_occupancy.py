@@ -185,6 +185,21 @@ class TestSeriesValidationAndExport:
         with pytest.raises(DomainError):
             peak_stats(series)
 
+    def test_peak_stats_zero_span_message(self):
+        series = OccupancySeries(np.array([1.0]), np.array([1], dtype=np.int64), 1, 0, 0.0)
+        with pytest.raises(DomainError, match="^series spans no time$"):
+            peak_stats(series)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+    def test_peak_stats_names_infinite_end_time(self):
+        # Lomax holding at shape 0.01 draws u ** -100, which overflows to inf
+        trace = generate_trace("exponential", ExponentialParams(1.0), 500.0, RngStream(8, 0))
+        loc = LocationConfig(None, "lomax", ParetoTwoParams(0.01, 1.0))
+        series = simulate_occupancy(trace, loc, RngStream(8, 1))
+        assert series.end_time == math.inf
+        with pytest.raises(DomainError, match="end_time is infinite.*holding time overflowed"):
+            peak_stats(series)
+
     def test_csv_export(self, tmp_path):
         trace = fixed_trace([1.0, 2.0], horizon=3.0)
         series = simulate_occupancy(trace, LocationConfig(1, INFINITE_HOLD), RngStream(0, 0))
