@@ -12,19 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ExponentialParams, ParetoOneParams, ParetoTwoParams
 from .errors import DomainError, ParameterError
-from .samplers import RngStream, sample_exponential, sample_lomax, sample_pareto1
+from .samplers import FAMILIES, RngStream
 
 __all__ = ["ArrivalTrace", "generate_trace", "regenerate_trace", "count_in_window", "fixed_trace"]
-
-_GAP_SAMPLERS = {
-    "exponential": (sample_exponential, ExponentialParams),
-    "pareto1": (sample_pareto1, ParetoOneParams),
-    "lomax": (sample_lomax, ParetoTwoParams),
-}
-
-FAMILIES = tuple(_GAP_SAMPLERS)
 
 _BLOCK = 1024
 
@@ -62,9 +53,9 @@ def generate_trace(family: str, params, horizon: float, r: RngStream) -> Arrival
     May be empty when the first gap already exceeds the horizon, a valid
     outcome and a common one for heavy-tailed gaps.
     """
-    if family not in _GAP_SAMPLERS:
-        raise ParameterError(f"unknown arrival family {family!r}; expected one of {FAMILIES}")
-    sampler, want = _GAP_SAMPLERS[family]
+    if family not in FAMILIES:
+        raise ParameterError(f"unknown arrival family {family!r}; expected one of {tuple(FAMILIES)}")
+    sampler, want = FAMILIES[family]
     if not isinstance(params, want):
         raise ParameterError(f"family {family!r} needs {want.__name__}, got {type(params).__name__}")
     if not (np.isfinite(horizon) and horizon > 0):

@@ -9,6 +9,7 @@ so reruns on the same build are byte-identical. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -25,12 +26,11 @@ from .experiments import (
     run_tail_comparison,
     run_validation_suite,
 )
-from .occupancy import INFINITE_HOLD, LocationConfig, simulate_occupancy
-from .samplers import RngStream
+from .occupancy import HOLDING_FAMILIES, simulate_occupancy
+from .samplers import FAMILIES, RngStream
 
 __all__ = ["main", "load_config_file", "KNOWN_CONFIG_KEYS"]
 
-DEFAULT_SEED = 42
 DEFAULT_OUT = "out"
 
 _LIST_KEYS = {"alphas", "betas", "rates", "arrivals"}
@@ -76,64 +76,37 @@ def _parse_value(key: str, raw: str):
     return raw
 
 
-def _gather(args) -> dict:
-    """Merge config-file values and flags; flags win. Returns a plain dict."""
-    values = dict(load_config_file(args.config)) if getattr(args, "config", None) else {}
-    for flag, key in (
-        ("seed", "seed"),
-        ("horizon", "horizon"),
-        ("replications", "replications"),
-        ("alpha", "alphas"),
-        ("beta", "betas"),
-        ("rate", "rates"),
-        ("exp_rate", "exp_rate"),
-        ("nodes", "node_budget"),
-        ("x_max", "x_max"),
-        ("x_step", "x_step"),
-        ("capacity", "capacity"),
-        ("holding", "holding"),
-        ("holding_rate", "holding_rate"),
-        ("family", "family"),
-        ("label", "label"),
-        ("arrivals", "arrivals"),
-    ):
-        if not hasattr(args, flag):
-            continue
-        v = getattr(args, flag)
-        if v is None:
-            continue
-        if flag in ("alpha", "beta", "rate") and args.command == "simulate":
-            # simulate takes single values, not sweep lists
-            values[flag] = float(v[0] if isinstance(v, list) else v)
-        elif key in _LIST_KEYS and not isinstance(v, tuple):
-            values[key] = tuple(float(x) for x in v) if isinstance(v, list) else tuple(
-                float(part) for part in str(v).split(",") if part.strip()
-            )
-        else:
-            values[key] = v
-    return values
+# a singular key in a file is a one-element list of its plural
+_PLURALS = {"alpha": "alphas", "beta": "betas", "rate": "rates"}
+# keys only simulate reads; ExperimentConfig has no field for them
+_SIMULATE_ONLY = ("family", "arrivals", "label")
+# simulate's own values for the sweep lists that neither file nor flags set
+_SIMULATE_DEFAULTS = {"rates": 0.9, "alphas": 0.5, "betas": 1.0}
 
 
-def _experiment_config(values: dict) -> ExperimentConfig:
-    kwargs = {}
-    # singular keys in a config file act as one-element sweeps
-    for single, plural in (("alpha", "alphas"), ("beta", "betas"), ("rate", "rates")):
-        if single in values and plural not in values:
-            values = {**values, plural: (float(values[single]),)}
-    for key in (
-        "alphas", "betas", "rates", "exp_rate", "horizon", "node_budget",
-        "replications", "seed", "x_max", "x_step", "capacity", "holding_rate",
-    ):
-        if key in values:
-            kwargs[key] = values[key]
-    if "holding" in values:
-        kwargs["holding_family"] = values["holding"]
-    kwargs["overrides"] = tuple(
-        sorted(set(values) - {"label", "family", "arrivals", "alpha", "beta", "rate"})
-    )
-    if "seed" not in kwargs:
-        kwargs["seed"] = DEFAULT_SEED
-    return ExperimentConfig(**kwargs)
+def _resolve(args) -> tuple[ExperimentConfig, dict]:
+    """Config file, then flags over it: the resolved :class:`ExperimentConfig`
+    and the simulate-only values (``family``, ``arrivals``, ``label``).
+
+    Every flag's ``dest`` is its config key, and string flag values are
+    parsed like file values. ``overrides`` lists each key the file or a flag
+    set, under its plural name.
+    """
+    values = load_config_file(args.config) if args.config else {}
+    for single, plural in _PLURALS.items():
+        if single in values:
+            if plural in values:
+                raise ParameterError(f"config sets both {single!r} and {plural!r}; keep one of them")
+            values[plural] = (values.pop(single),)
+    for key, flag in vars(args).items():
+        if key in KNOWN_CONFIG_KEYS and flag is not None:
+            values[key] = _parse_value(key, flag) if isinstance(flag, str) else flag
+    if "capacity" in values and values["capacity"] is None and args.command != "simulate":
+        # ExperimentConfig reads capacity None as node_budget, so the run would not be unbounded
+        raise ParameterError(f"{args.command} needs an integer capacity; 'unbounded' is for simulate only")
+    extra = {key: values.pop(key) for key in _SIMULATE_ONLY if key in values}
+    fields = {("holding_family" if key == "holding" else key): v for key, v in values.items()}
+    return ExperimentConfig(**fields, overrides=tuple(sorted(values))), extra
 
 
 def _prepare_outdir(args) -> Path:
@@ -159,103 +132,73 @@ def _emit_tables(tables, outdir: Path, verbose: bool) -> list[str]:
     return names
 
 
-def _cmd_sweep_alpha(args) -> int:
-    cfg = _experiment_config(_gather(args))
+def _cmd_tables(args) -> int:
+    """sweep-alpha, sweep-rate and compare: write the tables of the bound runner."""
+    cfg, _ = _resolve(args)
     outdir = _prepare_outdir(args)
-    names = _emit_tables(run_alpha_sweep(cfg), outdir, args.verbose)
-    write_manifest(outdir, names, _run_provenance("sweep-alpha", cfg.seed))
-    print(f"sweep-alpha: {len(names)} tables -> {outdir} (seed {cfg.seed})")
+    names = _emit_tables(args.run(cfg), outdir, args.verbose)
+    write_manifest(outdir, names, _run_provenance(args.command, cfg.seed))
+    print(f"{args.command}: {len(names)} tables -> {outdir} (seed {cfg.seed})")
     return 0
 
 
-def _cmd_sweep_rate(args) -> int:
-    cfg = _experiment_config(_gather(args))
-    outdir = _prepare_outdir(args)
-    names = _emit_tables(run_rate_sweep(cfg), outdir, args.verbose)
-    write_manifest(outdir, names, _run_provenance("sweep-rate", cfg.seed))
-    print(f"sweep-rate: {len(names)} tables -> {outdir} (seed {cfg.seed})")
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    cfg = _experiment_config(_gather(args))
-    outdir = _prepare_outdir(args)
-    names = _emit_tables(run_tail_comparison(cfg), outdir, args.verbose)
-    write_manifest(outdir, names, _run_provenance("compare", cfg.seed))
-    print(f"compare: {len(names)} tables -> {outdir} (seed {cfg.seed})")
-    return 0
-
-
-_SIM_FAMILIES = ("exponential", "pareto1", "lomax")
+def _single(cfg: ExperimentConfig, key: str) -> float:
+    """The one value simulate takes from a sweep list; its own default unless set."""
+    if key not in cfg.overrides:
+        return _SIMULATE_DEFAULTS[key]
+    entries = getattr(cfg, key)
+    if len(entries) != 1:
+        raise ParameterError(f"simulate needs a single {key[:-1]}, got {key} = {entries}")
+    return entries[0]
 
 
 def _cmd_simulate(args) -> int:
-    values = _gather(args)
-    # sweep-style lists only make sense here when they hold exactly one value
-    for plural, single in (("alphas", "alpha"), ("betas", "beta"), ("rates", "rate")):
-        if plural in values and single not in values:
-            entries = values[plural]
-            if len(entries) != 1:
-                raise ParameterError(f"simulate needs a single {single}, got {plural} = {entries}")
-            values[single] = float(entries[0])
-    seed = int(values.get("seed", DEFAULT_SEED))
-    horizon = values.get("horizon")
-    label = values.get("label", "simulate")
-
-    if values.get("arrivals"):
-        times = values["arrivals"]
-        trace = fixed_trace(times, horizon)
-        family_desc = "fixed"
+    cfg, extra = _resolve(args)
+    rate, alpha, beta = _single(cfg, "rates"), _single(cfg, "alphas"), _single(cfg, "betas")
+    if extra.get("arrivals"):
+        times = extra["arrivals"]
+        # a fixed trace ends at its last arrival unless a horizon is set
+        trace = fixed_trace(times, cfg.horizon if "horizon" in cfg.overrides else None)
+        family = "fixed"
         params_desc = f"times={','.join(repr(t) for t in times)}"
     else:
-        family = values.get("family", "exponential")
-        if family not in _SIM_FAMILIES:
+        family = extra.get("family", "exponential")
+        if family not in FAMILIES:
             raise ParameterError(
-                f"simulate family must be one of {_SIM_FAMILIES} (or pass --arrivals), got {family!r}"
+                f"simulate family must be one of {tuple(FAMILIES)} (or pass --arrivals), got {family!r}"
             )
         if family == "exponential":
-            params = ExponentialParams(values.get("rate", 0.9))
-            params_desc = f"rate={params.rate!r}"
+            params = ExponentialParams(rate)
+            params_desc = f"rate={rate!r}"
         elif family == "pareto1":
-            params = ParetoOneParams(values.get("alpha", 0.5))
-            params_desc = f"alpha={params.shape!r}"
+            params = ParetoOneParams(alpha)
+            params_desc = f"alpha={alpha!r}"
         else:
-            params = ParetoTwoParams(values.get("alpha", 0.5), values.get("beta", 1.0))
-            params_desc = f"alpha={params.shape!r} beta={params.scale!r}"
-        trace = generate_trace(family, params, horizon if horizon is not None else 100.0, RngStream(seed, 0))
-        family_desc = family
-
-    holding = values.get("holding", "exponential")
-    if holding == INFINITE_HOLD:
-        loc = LocationConfig(values.get("capacity"), INFINITE_HOLD)
-    elif holding == "lomax":
-        loc = LocationConfig(
-            values.get("capacity"), "lomax", ParetoTwoParams(1.5, 1.0 / values.get("holding_rate", 1.0))
-        )
-    else:
-        loc = LocationConfig(
-            values.get("capacity"), "exponential", ExponentialParams(values.get("holding_rate", 1.0))
-        )
-    series = simulate_occupancy(trace, loc, RngStream(seed, HOLDING_STREAM_OFFSET))
+            params = ParetoTwoParams(alpha, beta)
+            params_desc = f"alpha={alpha!r} beta={beta!r}"
+        trace = generate_trace(family, params, cfg.horizon, RngStream(cfg.seed, 0))
+    # here capacity None means unbounded, where ExperimentConfig reads it as node_budget
+    loc = dataclasses.replace(cfg.location(), capacity=cfg.capacity)
+    series = simulate_occupancy(trace, loc, RngStream(cfg.seed, HOLDING_STREAM_OFFSET))
 
     prov = {
         "generator": f"arrivalab {__version__}",
         "command": "simulate",
-        "label": str(label),
-        "family": family_desc,
+        "label": str(extra.get("label", "simulate")),
+        "family": family,
         "params": params_desc,
         "horizon": repr(trace.horizon),
         "capacity": "unbounded" if loc.capacity is None else str(loc.capacity),
-        "holding_family": holding,
-        "holding_rate": repr(float(values.get("holding_rate", 1.0))),
-        "seed": str(seed),
+        "holding_family": cfg.holding_family,
+        "holding_rate": repr(cfg.holding_rate),
+        "seed": str(cfg.seed),
     }
     outdir = _prepare_outdir(args)
     paths = [
         write_trace_csv(outdir / "trace.csv", trace, prov),
         write_occupancy_csv(outdir / "occupancy.csv", series, prov),
     ]
-    write_manifest(outdir, [p.name for p in paths], _run_provenance("simulate", seed))
+    write_manifest(outdir, [p.name for p in paths], _run_provenance("simulate", cfg.seed))
     if args.verbose:
         for p in paths:
             print(f"wrote {p}", file=sys.stderr)
@@ -269,7 +212,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = _experiment_config(_gather(args))
+    cfg, _ = _resolve(args)
     outdir = _prepare_outdir(args)
     report = run_validation_suite(cfg)
     path = outdir / "validation_report.txt"
@@ -290,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"arrivalab {__version__}")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help=f"master seed (default {DEFAULT_SEED})")
+    common.add_argument("--seed", type=int, default=None, help=f"master seed (default {ExperimentConfig.seed})")
     common.add_argument("--out", default=DEFAULT_OUT, help="output directory (default: %(default)s)")
     common.add_argument("--config", default=None, help="flat key=value config file")
     common.add_argument("--horizon", type=float, default=None, help="simulation horizon in time units")
@@ -303,41 +246,41 @@ def build_parser() -> argparse.ArgumentParser:
     curves.add_argument("--x-max", dest="x_max", type=float, default=None, help="curve grid maximum")
     curves.add_argument("--x-step", dest="x_step", type=float, default=None, help="curve grid step")
 
+    shapes = argparse.ArgumentParser(add_help=False)
+    shapes.add_argument("--alpha", dest="alphas", action="append", type=float,
+                        help="shape value (repeatable; simulate takes one)")
+    shapes.add_argument("--beta", dest="betas", action="append", type=float,
+                        help="two-parameter scale value (repeatable; simulate takes one)")
+
     occ = argparse.ArgumentParser(add_help=False)
-    occ.add_argument("--capacity", type=lambda s: None if s.lower() in ("none", "unbounded") else int(s),
-                     default=None, help="location capacity (integer or 'unbounded')")
-    occ.add_argument("--holding", choices=("exponential", "lomax", INFINITE_HOLD), default=None,
-                     help="holding-time family")
+    occ.add_argument("--capacity", default=None, help="location capacity (integer, or 'unbounded' for simulate)")
+    occ.add_argument("--holding", choices=HOLDING_FAMILIES, default=None, help="holding-time family")
     occ.add_argument("--holding-rate", dest="holding_rate", type=float, default=None,
                      help="holding-time rate (1/mean)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sweep-alpha", parents=[common, curves, occ],
+    p = sub.add_parser("sweep-alpha", parents=[common, curves, shapes, occ],
                        help="sweep the Pareto shape values; one CSV per cell")
-    p.add_argument("--alpha", action="append", type=float, help="shape value (repeatable)")
-    p.add_argument("--beta", action="append", type=float, help="two-parameter scale value (repeatable)")
-    p.add_argument("--nodes", type=int, default=None, help="node budget / default capacity")
-    p.set_defaults(func=_cmd_sweep_alpha)
+    p.add_argument("--nodes", dest="node_budget", type=int, default=None, help="node budget / default capacity")
+    p.set_defaults(func=_cmd_tables, run=run_alpha_sweep)
 
     p = sub.add_parser("sweep-rate", parents=[common, occ],
                        help="sweep the arrival rates; one CSV per cell")
-    p.add_argument("--rate", action="append", type=float, help="arrival rate (repeatable)")
-    p.add_argument("--nodes", type=int, default=None, help="node budget: pmf support and default capacity")
-    p.set_defaults(func=_cmd_sweep_rate)
+    p.add_argument("--rate", dest="rates", action="append", type=float, help="arrival rate (repeatable)")
+    p.add_argument("--nodes", dest="node_budget", type=int, default=None,
+                   help="node budget: pmf support and default capacity")
+    p.set_defaults(func=_cmd_tables, run=run_rate_sweep)
 
-    p = sub.add_parser("compare", parents=[common, curves],
+    p = sub.add_parser("compare", parents=[common, curves, shapes],
                        help="density curves of every family plus crossover summary")
-    p.add_argument("--alpha", action="append", type=float, help="shape value (repeatable)")
-    p.add_argument("--beta", action="append", type=float, help="two-parameter scale value (repeatable)")
-    p.set_defaults(func=_cmd_compare)
+    p.set_defaults(func=_cmd_tables, run=run_tail_comparison)
 
-    p = sub.add_parser("simulate", parents=[common, occ],
+    p = sub.add_parser("simulate", parents=[common, shapes, occ],
                        help="one occupancy simulation: trace + step series CSVs")
-    p.add_argument("--family", choices=_SIM_FAMILIES, default=None, help="arrival-gap family")
-    p.add_argument("--rate", type=float, default=None, help="exponential arrival rate")
-    p.add_argument("--alpha", type=float, default=None, help="Pareto shape")
-    p.add_argument("--beta", type=float, default=None, help="Lomax scale")
+    p.add_argument("--family", choices=tuple(FAMILIES), default=None, help="arrival-gap family")
+    p.add_argument("--rate", dest="rates", action="append", type=float,
+                   help="exponential arrival rate (one value)")
     p.add_argument("--arrivals", default=None, help="comma-separated explicit arrival times (fixture)")
     p.add_argument("--label", default=None, help="scenario label echoed into provenance")
     p.set_defaults(func=_cmd_simulate)

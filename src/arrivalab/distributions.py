@@ -217,30 +217,6 @@ def exp_survival(x, p: ExponentialParams):
     return _like(x, np.exp(-p.rate * arr))
 
 
-# --- one-parameter Pareto ---------------------------------------------------
-
-def pareto1_cdf(x, p: ParetoOneParams):
-    """``1 - (1 + x)^(-shape)`` on x >= 0."""
-    arr = _as_support(x, "pareto1_cdf")
-    return _like(x, -np.expm1(-p.shape * np.log1p(arr)))
-
-
-def pareto1_pdf(x, p: ParetoOneParams):
-    """``shape / (1 + x)^(shape + 1)``, the cdf's derivative everywhere on x > 0."""
-    arr = _as_support(x, "pareto1_pdf")
-    return _like(x, p.shape * np.exp(-(p.shape + 1.0) * np.log1p(arr)))
-
-
-def pareto1_survival(x, p: ParetoOneParams):
-    """Tail probability ``(1 + x)^(-shape)``, direct closed form.
-
-    Stays strictly positive arbitrarily deep into the tail, which is the
-    whole point of the heavy-tailed comparison.
-    """
-    arr = _as_support(x, "pareto1_survival")
-    return _like(x, np.exp(-p.shape * np.log1p(arr)))
-
-
 # --- two-parameter variant kept as written ----------------------------------
 
 def pareto2_cdf_shifted(x, p: ParetoTwoParams):
@@ -295,6 +271,29 @@ def lomax_pdf(x, p: ParetoTwoParams):
     """
     arr = _as_support(x, "lomax_pdf")
     return _like(x, (p.shape / p.scale) * np.exp(-(p.shape + 1.0) * np.log1p(arr / p.scale)))
+
+
+# --- one-parameter Pareto: Lomax at scale 1 ----------------------------------
+# ``x / 1.0`` and ``1.0 * y`` are exact, so these equal their own closed forms
+# bit for bit; domain errors name the Lomax function they delegate to.
+
+def pareto1_cdf(x, p: ParetoOneParams):
+    """``1 - (1 + x)^(-shape)`` on x >= 0."""
+    return lomax_cdf(x, ParetoTwoParams(p.shape))
+
+
+def pareto1_pdf(x, p: ParetoOneParams):
+    """``shape / (1 + x)^(shape + 1)``, the cdf's derivative everywhere on x > 0."""
+    return lomax_pdf(x, ParetoTwoParams(p.shape))
+
+
+def pareto1_survival(x, p: ParetoOneParams):
+    """Tail probability ``(1 + x)^(-shape)``, direct closed form.
+
+    Stays strictly positive arbitrarily deep into the tail, which is the
+    whole point of the heavy-tailed comparison.
+    """
+    return lomax_survival(x, ParetoTwoParams(p.shape))
 
 
 # --- normal approximation to the Poisson pmf ---------------------------------

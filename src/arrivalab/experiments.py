@@ -1,4 +1,4 @@
-"""Scenario runner: parameter sweeps, tail comparisons, and the validation suite.
+"""Experiment runner: parameter sweeps, tail comparisons, and the validation suite.
 
 Everything here is a pure function of an :class:`ExperimentConfig`: tables
 carry a provenance block (config echo + seed + version) from which they can
@@ -36,6 +36,7 @@ from .distributions import (
 )
 from .errors import DomainError, ParameterError
 from .occupancy import (
+    HOLDING_FAMILIES,
     INFINITE_HOLD,
     LocationConfig,
     blocking_fraction,
@@ -57,7 +58,6 @@ __all__ = [
     "DEFAULT_VALIDATION_CHECK_COUNT",
     "HOLDING_STREAM_OFFSET",
     "ExperimentConfig",
-    "Scenario",
     "SeriesTable",
     "ValidationCheck",
     "ValidationReport",
@@ -150,7 +150,7 @@ class ExperimentConfig:
             isinstance(self.capacity, bool) or not isinstance(self.capacity, (int, np.integer)) or self.capacity < 1
         ):
             raise ParameterError(f"capacity must be a positive integer or None, got {self.capacity!r}")
-        if self.holding_family not in ("exponential", "lomax", INFINITE_HOLD):
+        if self.holding_family not in HOLDING_FAMILIES:
             raise ParameterError(f"unknown holding family {self.holding_family!r}")
         object.__setattr__(self, "overrides", tuple(str(k) for k in self.overrides))
 
@@ -168,19 +168,6 @@ class ExperimentConfig:
         return LocationConfig(
             self.effective_capacity(), "exponential", ExponentialParams(self.holding_rate)
         )
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One experiment cell: family + params on a horizon, with replication count."""
-
-    label: str
-    family: str
-    params: object
-    horizon: float
-    node_budget: int = 20
-    replications: int = 20
-    seed: int = 42
 
 
 @dataclass(frozen=True)
@@ -256,20 +243,39 @@ def _grid(cfg: ExperimentConfig) -> np.ndarray:
     return np.arange(n + 1, dtype=float) * cfg.x_step
 
 
-def _replication_summaries(scn: Scenario, loc: LocationConfig) -> tuple[float, float, float]:
-    """Mean peak, mean time-average occupancy, and mean blocking fraction
-    over the scenario's replications (replication index = stream id)."""
-    peaks, means, blocks = [], [], []
-    for rep in range(scn.replications):
-        trace = generate_trace(scn.family, scn.params, scn.horizon, RngStream(scn.seed, rep))
-        series = simulate_occupancy(trace, loc, RngStream(scn.seed, HOLDING_STREAM_OFFSET + rep))
-        ps = peak_stats(series)
-        peaks.append(ps.peak_count)
-        means.append(ps.mean_occupancy)
-        if len(trace):
-            blocks.append(blocking_fraction(series))
-    block_mean = float(np.mean(blocks)) if blocks else float("nan")
-    return float(np.mean(peaks)), float(np.mean(means)), block_mean
+def _occupancy_summary(cfg: ExperimentConfig, axis: str, family: str, cells) -> SeriesTable:
+    """The ``{axis}_occupancy`` table of ``sweep-{axis}``: per ``(x, params)``
+    cell, the mean peak, mean time-average occupancy and mean blocking
+    fraction over the replications (replication index = stream id).
+
+    Replications with an empty trace have no blocking fraction and are left
+    out of its mean; a cell with none left reads NaN.
+    """
+    loc = cfg.location()
+    summaries = []
+    for _, params in cells:
+        peaks, means, blocks = [], [], []
+        for rep in range(cfg.replications):
+            trace = generate_trace(family, params, cfg.horizon, RngStream(cfg.seed, rep))
+            series = simulate_occupancy(trace, loc, RngStream(cfg.seed, HOLDING_STREAM_OFFSET + rep))
+            ps = peak_stats(series)
+            peaks.append(ps.peak_count)
+            means.append(ps.mean_occupancy)
+            if len(trace):
+                blocks.append(blocking_fraction(series))
+        block_mean = float(np.mean(blocks)) if blocks else float("nan")
+        summaries.append((float(np.mean(peaks)), float(np.mean(means)), block_mean))
+    prov = _base_provenance(cfg, f"sweep-{axis}")
+    prov["cell"] = "occupancy-summary"
+    prov["family"] = family
+    peak_mean, occupancy_mean, blocking_mean = (np.asarray(col) for col in zip(*summaries))
+    return SeriesTable(
+        f"{axis}_occupancy",
+        axis,
+        np.asarray([x for x, _ in cells]),
+        {"peak_mean": peak_mean, "occupancy_mean": occupancy_mean, "blocking_mean": blocking_mean},
+        prov,
+    )
 
 
 def run_alpha_sweep(config: ExperimentConfig | None = None) -> list[SeriesTable]:
@@ -299,33 +305,8 @@ def run_alpha_sweep(config: ExperimentConfig | None = None) -> list[SeriesTable]
         prov["cell"] = f"alpha={a:g}"
         prov["family"] = "pareto1"
         tables.append(SeriesTable(f"alpha_{a:g}", "x", xs, cols, prov))
-
-    peaks, means, blocks = [], [], []
-    for a in cfg.alphas:
-        scn = Scenario(
-            f"alpha={a:g}", "pareto1", ParetoOneParams(a), cfg.horizon,
-            cfg.node_budget, cfg.replications, cfg.seed,
-        )
-        pk, mn, bl = _replication_summaries(scn, cfg.location())
-        peaks.append(pk)
-        means.append(mn)
-        blocks.append(bl)
-    prov = _base_provenance(cfg, "sweep-alpha")
-    prov["cell"] = "occupancy-summary"
-    prov["family"] = "pareto1"
-    tables.append(
-        SeriesTable(
-            "alpha_occupancy",
-            "alpha",
-            np.asarray(cfg.alphas),
-            {
-                "peak_mean": np.asarray(peaks),
-                "occupancy_mean": np.asarray(means),
-                "blocking_mean": np.asarray(blocks),
-            },
-            prov,
-        )
-    )
+    cells = [(a, ParetoOneParams(a)) for a in cfg.alphas]
+    tables.append(_occupancy_summary(cfg, "alpha", "pareto1", cells))
     return tables
 
 
@@ -342,33 +323,8 @@ def run_rate_sweep(config: ExperimentConfig | None = None) -> list[SeriesTable]:
         tables.append(
             SeriesTable(f"rate_{r:g}", "n", ns, {"poisson_pmf": poisson_pmf(ns, pp)}, prov)
         )
-
-    peaks, means, blocks = [], [], []
-    for r in cfg.rates:
-        scn = Scenario(
-            f"rate={r:g}", "exponential", ExponentialParams(r), cfg.horizon,
-            cfg.node_budget, cfg.replications, cfg.seed,
-        )
-        pk, mn, bl = _replication_summaries(scn, cfg.location())
-        peaks.append(pk)
-        means.append(mn)
-        blocks.append(bl)
-    prov = _base_provenance(cfg, "sweep-rate")
-    prov["cell"] = "occupancy-summary"
-    prov["family"] = "exponential"
-    tables.append(
-        SeriesTable(
-            "rate_occupancy",
-            "rate",
-            np.asarray(cfg.rates),
-            {
-                "peak_mean": np.asarray(peaks),
-                "occupancy_mean": np.asarray(means),
-                "blocking_mean": np.asarray(blocks),
-            },
-            prov,
-        )
-    )
+    cells = [(r, ExponentialParams(r)) for r in cfg.rates]
+    tables.append(_occupancy_summary(cfg, "rate", "exponential", cells))
     return tables
 
 

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrivals import ArrivalTrace
-from .distributions import ExponentialParams, ParetoTwoParams
 from .errors import DomainError, ParameterError
-from .samplers import RngStream, sample_exponential, sample_lomax
+from .samplers import FAMILIES, RngStream
 
 __all__ = [
+    "HOLDING_FAMILIES",
     "INFINITE_HOLD",
     "LocationConfig",
     "OccupancySeries",
@@ -31,12 +31,8 @@ __all__ = [
 
 INFINITE_HOLD = "infinite"
 
-_HOLD_SAMPLERS = {
-    "exponential": (sample_exponential, ExponentialParams),
-    "lomax": (sample_lomax, ParetoTwoParams),
-}
-
-HOLDING_FAMILIES = tuple(_HOLD_SAMPLERS) + (INFINITE_HOLD,)
+# holding-time laws: two registry families, or no departure at all
+HOLDING_FAMILIES = ("exponential", "lomax", INFINITE_HOLD)
 
 # holding times drawn per block on the bounded path
 _HOLD_BLOCK = 4096
@@ -61,9 +57,9 @@ class LocationConfig:
             if self.holding_params is not None:
                 raise ParameterError("infinite holding takes no parameters")
             return
-        if fam not in _HOLD_SAMPLERS:
+        if fam not in HOLDING_FAMILIES:
             raise ParameterError(f"unknown holding family {fam!r}; expected one of {HOLDING_FAMILIES}")
-        _, want = _HOLD_SAMPLERS[fam]
+        _, want = FAMILIES[fam]
         params = self.holding_params if self.holding_params is not None else want(1.0)
         if not isinstance(params, want):
             raise ParameterError(f"holding family {fam!r} needs {want.__name__}, got {type(params).__name__}")
@@ -139,7 +135,7 @@ def _loss_system_steps(times: list[float], loc: LocationConfig, r: RngStream):
     """Event loop for a capacity bound or infinite holding."""
     infinite = loc.holding_family == INFINITE_HOLD
     if not infinite:
-        hold_sampler, _ = _HOLD_SAMPLERS[loc.holding_family]
+        hold_sampler, _ = FAMILIES[loc.holding_family]
     cap = len(times) if loc.capacity is None else loc.capacity  # unbounded: never reached
     heappush, heappop = heapq.heappush, heapq.heappop
     departures: list[float] = []
@@ -180,7 +176,7 @@ def _unbounded_steps(times: np.ndarray, loc: LocationConfig, r: RngStream):
     their own arrival instant (a hold below half an ulp of it), which the
     event loop would also pop only after admitting that arrival.
     """
-    hold_sampler, _ = _HOLD_SAMPLERS[loc.holding_family]
+    hold_sampler, _ = FAMILIES[loc.holding_family]
     departures = times + hold_sampler(r, loc.holding_params, size=times.size)
     own = departures == times
     merged = np.concatenate([departures[~own], times, departures[own]])

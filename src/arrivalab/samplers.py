@@ -23,6 +23,7 @@ from .distributions import (
 from .errors import ParameterError
 
 __all__ = [
+    "FAMILIES",
     "RngStream",
     "exponential_from_uniform",
     "pareto1_from_uniform",
@@ -80,12 +81,12 @@ def exponential_from_uniform(u, p: ExponentialParams):
 
 
 def pareto1_from_uniform(u, p: ParetoOneParams):
-    """Map uniform u in (0, 1) to ``u**(-1/shape) - 1``.
+    """Map uniform u in (0, 1) to ``u**(-1/shape) - 1``: Lomax at scale 1.
 
     Inverts the one-parameter CDF: u -> 0 gives the deep tail, u -> 1 gives
     the support infimum 0.
     """
-    return np.power(u, -1.0 / p.shape) - 1.0
+    return lomax_from_uniform(u, ParetoTwoParams(p.shape))
 
 
 def lomax_from_uniform(u, p: ParetoTwoParams):
@@ -102,15 +103,24 @@ def sample_exponential(r: RngStream, p: ExponentialParams, size=None):
 
 
 def sample_pareto1(r: RngStream, p: ParetoOneParams, size=None):
-    """One-parameter Pareto variate(s), strictly positive."""
-    x = pareto1_from_uniform(r.uniform_open(size), p)
-    return float(x) if size is None else x
+    """One-parameter Pareto variate(s), strictly positive: Lomax at scale 1."""
+    return sample_lomax(r, ParetoTwoParams(p.shape), size)
 
 
 def sample_lomax(r: RngStream, p: ParetoTwoParams, size=None):
-    """Lomax variate(s); at scale 1 identical draws to :func:`sample_pareto1`."""
+    """Lomax variate(s), strictly positive."""
     x = lomax_from_uniform(r.uniform_open(size), p)
     return float(x) if size is None else x
+
+
+# the one registry of continuous families: name -> (sampler, params type).
+# Arrival gaps may come from any of them, holding times from exponential and
+# lomax (see ``occupancy.HOLDING_FAMILIES``).
+FAMILIES = {
+    "exponential": (sample_exponential, ExponentialParams),
+    "pareto1": (sample_pareto1, ParetoOneParams),
+    "lomax": (sample_lomax, ParetoTwoParams),
+}
 
 
 def sample_poisson_count(r: RngStream, p: PoissonParams, size=None):

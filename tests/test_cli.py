@@ -251,3 +251,126 @@ class TestCsvFormat:
         assert lines[header_at].split(",")[0] == "x"
         # 0.1 at 17 significant digits
         assert lines[header_at + 2].split(",")[0] == "0.10000000000000001"
+
+
+def output_bytes(outdir):
+    return {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
+
+
+class TestConfigResolution:
+    """A config file and flags reach the same resolved config."""
+
+    # (command, config file, the same values as flags); singular keys in the
+    # file become one-element sweeps, as a repeated flag given once does
+    CASES = {
+        "sweep-alpha-singular": (
+            "sweep-alpha",
+            "alpha = 0.5\nbeta = 2\nnode_budget = 5\ncapacity = 3\nholding = lomax\nholding_rate = 0.5\n"
+            "replications = 2\nhorizon = 20\nseed = 7\nx_max = 5\nx_step = 0.5\nexp_rate = 2\n",
+            ["--alpha", "0.5", "--beta", "2", "--nodes", "5", "--capacity", "3", "--holding", "lomax",
+             "--holding-rate", "0.5", "--replications", "2", "--horizon", "20", "--seed", "7",
+             "--x-max", "5", "--x-step", "0.5", "--exp-rate", "2"],
+        ),
+        "sweep-alpha-plural": (
+            "sweep-alpha",
+            "alphas = 0.4,0.9\nbetas = 1,3\nreplications = 2\nhorizon = 10\n",
+            ["--alpha", "0.4", "--alpha", "0.9", "--beta", "1", "--beta", "3", "--replications", "2",
+             "--horizon", "10"],
+        ),
+        "sweep-rate-singular": (
+            "sweep-rate",
+            "rate = 0.4\nnode_budget = 6\ncapacity = 2\nholding = infinite\nreplications = 2\n"
+            "horizon = 20\nseed = 3\n",
+            ["--rate", "0.4", "--nodes", "6", "--capacity", "2", "--holding", "infinite",
+             "--replications", "2", "--horizon", "20", "--seed", "3"],
+        ),
+        "sweep-rate-plural": (
+            "sweep-rate",
+            "rates = 0.3,0.6\nholding_rate = 0.2\nreplications = 2\nhorizon = 10\n",
+            ["--rate", "0.3", "--rate", "0.6", "--holding-rate", "0.2", "--replications", "2",
+             "--horizon", "10"],
+        ),
+        "compare": (
+            "compare",
+            "alphas = 0.5,1.5\nbetas = 1,2\nexp_rate = 2\nx_max = 5\nx_step = 0.25\nseed = 5\n",
+            ["--alpha", "0.5", "--alpha", "1.5", "--beta", "1", "--beta", "2", "--exp-rate", "2",
+             "--x-max", "5", "--x-step", "0.25", "--seed", "5"],
+        ),
+        "simulate-lomax": (
+            "simulate",
+            "family = lomax\nalpha = 0.7\nbeta = 2\ncapacity = 3\nholding = lomax\nholding_rate = 2\n"
+            "horizon = 30\nlabel = probe\nseed = 9\n",
+            ["--family", "lomax", "--alpha", "0.7", "--beta", "2", "--capacity", "3", "--holding", "lomax",
+             "--holding-rate", "2", "--horizon", "30", "--label", "probe", "--seed", "9"],
+        ),
+        "simulate-unbounded": (
+            "simulate",
+            "rate = 2\ncapacity = unbounded\nholding = exponential\nhorizon = 15\n",
+            ["--rate", "2", "--capacity", "unbounded", "--holding", "exponential", "--horizon", "15"],
+        ),
+        "simulate-pareto1-plural": (
+            "simulate",
+            "family = pareto1\nalphas = 0.6\ncapacity = none\n",
+            ["--family", "pareto1", "--alpha", "0.6", "--capacity", "none"],
+        ),
+        "simulate-fixed": (
+            "simulate",
+            "arrivals = 1,2,3.5\ncapacity = 2\nholding = infinite\n",
+            ["--arrivals", "1,2,3.5", "--capacity", "2", "--holding", "infinite"],
+        ),
+        "simulate-fixed-horizon": (
+            "simulate",
+            "arrivals = 1,2,3.5\nhorizon = 5\nholding_rate = 0.5\n",
+            ["--arrivals", "1,2,3.5", "--horizon", "5", "--holding-rate", "0.5"],
+        ),
+        "validate": ("validate", "seed = 3\n", ["--seed", "3"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_file_and_flags_give_identical_outputs(self, name, tmp_path):
+        command, text, flags = self.CASES[name]
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+        assert main([command, *flags, "--out", str(tmp_path / "flags")]) == 0
+        from_file = output_bytes(tmp_path / "file")
+        assert len(from_file) >= 1
+        assert from_file == output_bytes(tmp_path / "flags")
+
+    def test_flags_win_over_singular_file_key(self, tmp_path):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("alpha = 0.7\nreplications = 2\nhorizon = 10\n")
+        assert main(["sweep-alpha", "--config", str(cfg), "--alpha", "0.4", "--out", str(tmp_path)]) == 0
+        assert provenance(tmp_path / "alpha_0.4.csv")["alphas"] == "0.4"
+
+    @pytest.mark.parametrize("command", ["sweep-alpha", "sweep-rate"])
+    @pytest.mark.parametrize("value", ["unbounded", "none"])
+    def test_sweeps_reject_unbounded_capacity_flag(self, command, value, tmp_path, capsys):
+        assert main([command, *fast_args(tmp_path), "--capacity", value]) == 2
+        assert "capacity" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("command", ["sweep-alpha", "sweep-rate"])
+    def test_sweeps_reject_unbounded_capacity_file(self, command, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("capacity = unbounded\nreplications = 2\nhorizon = 10\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "capacity" in capsys.readouterr().err
+
+    def test_simulate_bad_arrivals_flag_exits_two(self, tmp_path, capsys):
+        assert main(["simulate", "--arrivals", "1,x", "--out", str(tmp_path)]) == 2
+        assert "arrivals" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep-alpha", "sweep-rate", "compare", "simulate"])
+    @pytest.mark.parametrize("single,plural", [("alpha", "alphas"), ("beta", "betas"), ("rate", "rates")])
+    def test_file_setting_both_forms_is_an_error(self, command, single, plural, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(f"{single} = 0.7\n{plural} = 0.3,0.5\nreplications = 2\nhorizon = 10\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"'{single}'" in err and f"'{plural}'" in err
+
+    def test_simulate_rejects_repeated_shape_flag(self, tmp_path, capsys):
+        assert main(["simulate", "--family", "pareto1", "--alpha", "0.3", "--alpha", "0.5",
+                     "--out", str(tmp_path)]) == 2
+        assert "single alpha" in capsys.readouterr().err

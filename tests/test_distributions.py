@@ -356,3 +356,43 @@ class TestLogFactorialMatchesScipy:
         for i in (0, 1, 12, len(k) - 1):
             assert same_bits(poisson_pmf(int(k[i]), p), want[i])
             assert same_bits(poisson_pmf(np.array(k[i]), p), want[i])
+
+
+class TestParetoOneIsLomaxAtScaleOne:
+    """The one-parameter Pareto is Lomax at scale 1. The closed forms below
+    are the ones ``pareto1_*`` used before they delegated to Lomax; dividing
+    by and multiplying with a scale of 1.0 is exact, so agreement is bit for
+    bit, from the origin through subnormal-adjacent to huge arguments."""
+
+    SHAPES = (0.01, 0.3, 0.5, 1.0, 1.5, 2.5, 50.0)
+    GRID = np.concatenate([[0.0, 1e-300, 1e-16, 0.5, 1.0, 3.0, 1e16, 1e300], np.geomspace(1e-12, 1e12, 301)])
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_evaluators_equal_old_closed_forms(self, shape):
+        p, x = ParetoOneParams(shape), self.GRID
+        assert same_bits(pareto1_cdf(x, p), -np.expm1(-shape * np.log1p(x)))
+        assert same_bits(pareto1_pdf(x, p), shape * np.exp(-(shape + 1.0) * np.log1p(x)))
+        assert same_bits(pareto1_survival(x, p), np.exp(-shape * np.log1p(x)))
+        for v in (0.0, 1e-300, 1.0, 1e300):
+            assert isinstance(pareto1_cdf(v, p), float)
+            assert same_bits(pareto1_cdf(v, p), -np.expm1(-shape * np.log1p(v)))
+            assert same_bits(pareto1_pdf(v, p), shape * np.exp(-(shape + 1.0) * np.log1p(v)))
+            assert same_bits(pareto1_survival(v, p), np.exp(-shape * np.log1p(v)))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_sampler_equals_old_inverse_transform(self, shape):
+        from arrivalab import RngStream, sample_pareto1
+        from arrivalab.samplers import pareto1_from_uniform
+
+        p = ParetoOneParams(shape)
+        with np.errstate(over="ignore"):  # shape 0.01 overflows the deepest draws to inf on both sides
+            u = RngStream(17, 3).uniform_open(4096)
+            old = np.power(u, -1.0 / shape) - 1.0
+            assert same_bits(pareto1_from_uniform(u, p), old)
+            assert same_bits(sample_pareto1(RngStream(17, 3), p, size=4096), old)
+            r = RngStream(17, 3)
+            scalars = [sample_pareto1(r, p) for _ in range(16)]
+            assert all(isinstance(s, float) for s in scalars)
+            assert same_bits(scalars, old[:16])
+            for v in (2.0**-53, 0.5, 1.0 - 2.0**-53):
+                assert same_bits(pareto1_from_uniform(v, p), np.power(v, -1.0 / shape) - 1.0)

@@ -39,6 +39,18 @@ CASES = {
         "simulate", "--rate", "10000", "--horizon", "1", "--holding", "lomax", "--holding-rate", "0.001",
         "--capacity", "5000",
     ],
+    # flag paths the cases above leave out: repeated shape flags with a scale,
+    # a node budget and Lomax holding; a one-parameter family with a label; the
+    # curve flags of compare
+    "sweep-alpha-flags": [
+        "sweep-alpha", "--alpha", "0.5", "--alpha", "0.9", "--beta", "2", "--nodes", "5",
+        "--holding", "lomax", "--replications", "3", "--horizon", "50",
+    ],
+    "simulate-pareto1-label": [
+        "simulate", "--family", "pareto1", "--alpha", "0.7", "--capacity", "4", "--label", "probe",
+        "--horizon", "50",
+    ],
+    "compare-flags": ["compare", "--alpha", "1.5", "--beta", "2", "--exp-rate", "2", "--x-max", "5"],
 }
 
 

@@ -24,7 +24,8 @@ from arrivalab import (
     simulate_occupancy,
 )
 from arrivalab.arrivals import ArrivalTrace
-from arrivalab.occupancy import _HOLD_SAMPLERS, OccupancySeries
+from arrivalab.occupancy import OccupancySeries
+from arrivalab.samplers import FAMILIES as _HOLD_SAMPLERS
 
 
 def seed_simulate_occupancy(trace: ArrivalTrace, loc: LocationConfig, r: RngStream) -> OccupancySeries:
