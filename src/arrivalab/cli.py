@@ -155,7 +155,7 @@ def _single(cfg: ExperimentConfig, key: str) -> float:
 def _cmd_simulate(args) -> int:
     cfg, extra = _resolve(args)
     rate, alpha, beta = _single(cfg, "rates"), _single(cfg, "alphas"), _single(cfg, "betas")
-    if extra.get("arrivals"):
+    if "arrivals" in extra:  # an explicitly empty fixture is a fixture too
         times = extra["arrivals"]
         # a fixed trace ends at its last arrival unless a horizon is set
         trace = fixed_trace(times, cfg.horizon if "horizon" in cfg.overrides else None)

@@ -17,10 +17,8 @@ The log-factorial in the Poisson pmf is a port of the Cephes ``lgam`` routine
 one behind ``scipy.special.gammaln``, restricted to integer arguments: an
 exact product below 13, Stirling's series with Cephes' coefficients above,
 every logarithm taken by ``math.log``. It reproduces ``gammaln`` bit for bit,
-so the sweep and simulate paths never import scipy, whose import would be
-most of their start-up time; ``math.lgamma`` and ``np.log`` each differ from
-it in the last bit. Only :func:`normal_approx_pmf` loads ``scipy.special``,
-for ``ndtr``.
+and those bits are what the checked-in output digests pin; ``math.lgamma``
+and ``np.log`` each differ from it in the last bit.
 """
 
 from __future__ import annotations
@@ -305,9 +303,14 @@ def normal_approx_pmf(n, p: PoissonParams):
     mean grows; poor for small means, which is what makes the comparison
     interesting.
     """
-    from scipy.special import ndtr
-
     k = _as_count(n)
     m = p.mean
     s = math.sqrt(m)
-    return _like(n, ndtr((k + 0.5 - m) / s) - ndtr((k - 0.5 - m) / s))
+    return _like(n, _normal_cdf((k + 0.5 - m) / s) - _normal_cdf((k - 0.5 - m) / s))
+
+
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF ``erfc(-z / sqrt(2)) / 2``, elementwise."""
+    r = math.sqrt(2.0)
+    cdf = np.fromiter(map(lambda v: 0.5 * math.erfc(-v / r), z.ravel().tolist()), float, z.size)
+    return cdf.reshape(z.shape)

@@ -112,6 +112,30 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "family" in capsys.readouterr().err
 
+    @staticmethod
+    def empty_fixture_args(form, tmp_path):
+        """An explicitly empty fixture, given as a flag or in a config file."""
+        if form == "flag":
+            return ["--arrivals", ""]
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("arrivals = ,\n")
+        return ["--config", str(cfg)]
+
+    @pytest.mark.parametrize("form", ["flag", "file"])
+    def test_empty_fixture_without_horizon_exits_two(self, form, tmp_path, capsys):
+        args = self.empty_fixture_args(form, tmp_path)
+        assert main(["simulate", *args, "--out", str(tmp_path / "o")]) == 2
+        assert "needs a horizon" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("form", ["flag", "file"])
+    def test_empty_fixture_with_horizon_is_an_empty_run(self, form, tmp_path, capsys):
+        args = self.empty_fixture_args(form, tmp_path)
+        assert main(["simulate", *args, "--horizon", "5", "--out", str(tmp_path / "o")]) == 0
+        assert "simulate: arrivals=0 admitted=0 blocked=0" in capsys.readouterr().out
+        trace = provenance(tmp_path / "o" / "trace.csv")
+        assert (trace["family"], trace["params"], trace["horizon"]) == ("fixed", "times=", "5.0")
+
     def test_floats_round_trip_exactly(self, tmp_path):
         main(["simulate", "--out", str(tmp_path), "--family", "exponential", "--rate", "0.9",
               "--horizon", "20", "--seed", "11"])

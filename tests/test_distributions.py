@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtr
 
 from arrivalab import (
     DEFAULT_SHAPE_SWEEP,
@@ -19,6 +19,7 @@ from arrivalab import (
     lomax_cdf,
     lomax_pdf,
     lomax_survival,
+    normal_approx_error,
     normal_approx_pmf,
     pareto1_cdf,
     pareto1_pdf,
@@ -29,6 +30,7 @@ from arrivalab import (
     poisson_pmf,
 )
 from arrivalab.distributions import _lgamma_integer
+from arrivalab.experiments import NORMAL_ERROR_MEANS
 
 
 def central_difference(f, x, h=1e-5):
@@ -236,6 +238,44 @@ class TestNormalApproximation:
             return float(np.max(np.abs(poisson_pmf(ns, p) - normal_approx_pmf(ns, p))))
 
         assert worst(100.0) < worst(1.0)
+
+
+def ndtr_mass(k, mean: float):
+    """The continuity-corrected normal mass written with scipy's ``ndtr``."""
+    s = math.sqrt(mean)
+    return ndtr((k + 0.5 - mean) / s) - ndtr((k - 0.5 - mean) / s)
+
+
+class TestNormalCdfMatchesScipy:
+    """The normal CDF is ``erfc(-z / sqrt(2)) / 2`` from ``math.erfc``, which
+    differs from Cephes ``ndtr`` in the last bit, so scipy is an oracle to an
+    absolute tolerance. Near a CDF of 1 both forms cancel, so the tolerance is
+    not relative."""
+
+    @pytest.mark.parametrize("mean", [0.05, 0.3, 1.0, 2.5, 5.0, 10.0, 50.0, 100.0, 1e3, 1e4])
+    def test_pmf_matches_ndtr_form(self, mean):
+        k = np.arange(int(mean + 12 * math.sqrt(mean)) + 1, dtype=float)
+        got = normal_approx_pmf(k, PoissonParams(mean, 1.0))
+        np.testing.assert_allclose(got, ndtr_mass(k, mean), rtol=0, atol=1e-15)
+
+    def test_keeps_kind_and_shape(self):
+        p = PoissonParams(2.5, 1.0)
+        k = np.arange(12, dtype=float).reshape(3, 4)
+        got = normal_approx_pmf(k, p)
+        assert got.shape == (3, 4)
+        np.testing.assert_allclose(got, ndtr_mass(k, 2.5), rtol=0, atol=1e-15)
+        for n in (3, np.array(3.0)):
+            value = normal_approx_pmf(n, p)
+            assert type(value) is float
+            assert value == pytest.approx(float(ndtr_mass(3.0, 2.5)), rel=0, abs=1e-15)
+
+    def test_suite_errors_match_and_decrease(self):
+        errors = [normal_approx_error(PoissonParams(m, 1.0)) for m in NORMAL_ERROR_MEANS]
+        for mean, got in zip(NORMAL_ERROR_MEANS, errors):
+            k = np.arange(int(math.ceil(mean + 10 * math.sqrt(mean))) + 1, dtype=float)
+            want = float(np.max(np.abs(poisson_pmf(k, PoissonParams(mean, 1.0)) - ndtr_mass(k, mean))))
+            assert abs(got - want) <= 1e-15
+        assert all(a > b for a, b in zip(errors, errors[1:]))
 
 
 FAMILY_CLOSURES = [
