@@ -3,125 +3,28 @@
 Analytic distribution evaluators, seeded inverse-transform samplers, renewal
 arrival traces, capacity-bounded occupancy simulation, comparison statistics,
 and reproducible experiment sweeps with CSV output.
+
+Each module's ``__all__`` is the one list of its public names; the package
+exports them all.
 """
 
+from . import arrivals, distributions, errors, experiments, occupancy, samplers, stats
 from ._version import __version__
-from .arrivals import ArrivalTrace, count_in_window, fixed_trace, generate_trace, regenerate_trace
-from .distributions import (
-    ExponentialParams,
-    ParetoOneParams,
-    ParetoTwoParams,
-    PoissonParams,
-    exp_cdf,
-    exp_pdf,
-    exp_survival,
-    lomax_cdf,
-    lomax_pdf,
-    lomax_survival,
-    normal_approx_pmf,
-    pareto1_cdf,
-    pareto1_pdf,
-    pareto1_survival,
-    pareto2_cdf_shifted,
-    pareto2_pdf_powerlaw,
-    poisson_cdf,
-    poisson_pmf,
-)
-from .errors import DomainError, ParameterError
-from .experiments import (
-    DEFAULT_RATE_SWEEP,
-    DEFAULT_SHAPE_SWEEP,
-    ExperimentConfig,
-    SeriesTable,
-    ValidationCheck,
-    ValidationReport,
-    run_alpha_sweep,
-    run_rate_sweep,
-    run_tail_comparison,
-    run_validation_suite,
-)
-from .occupancy import (
-    INFINITE_HOLD,
-    LocationConfig,
-    OccupancySeries,
-    PeakStats,
-    blocking_fraction,
-    peak_stats,
-    simulate_occupancy,
-)
-from .samplers import (
-    FAMILIES,
-    RngStream,
-    sample_exponential,
-    sample_lomax,
-    sample_pareto1,
-    sample_poisson_count,
-)
-from .stats import (
-    EmpiricalSample,
-    crossover_point,
-    empirical_cdf,
-    ks_critical_value,
-    ks_statistic,
-    normal_approx_error,
-    sample_quantile,
-)
+from .arrivals import *  # noqa: F401,F403
+from .distributions import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .experiments import *  # noqa: F401,F403
+from .occupancy import *  # noqa: F401,F403
+from .samplers import *  # noqa: F401,F403
+from .stats import *  # noqa: F401,F403
 
 __all__ = [
     "__version__",
-    "ArrivalTrace",
-    "DomainError",
-    "DEFAULT_RATE_SWEEP",
-    "DEFAULT_SHAPE_SWEEP",
-    "EmpiricalSample",
-    "ExperimentConfig",
-    "ExponentialParams",
-    "FAMILIES",
-    "INFINITE_HOLD",
-    "LocationConfig",
-    "OccupancySeries",
-    "ParameterError",
-    "ParetoOneParams",
-    "ParetoTwoParams",
-    "PeakStats",
-    "PoissonParams",
-    "RngStream",
-    "SeriesTable",
-    "ValidationCheck",
-    "ValidationReport",
-    "blocking_fraction",
-    "count_in_window",
-    "crossover_point",
-    "empirical_cdf",
-    "exp_cdf",
-    "exp_pdf",
-    "exp_survival",
-    "fixed_trace",
-    "generate_trace",
-    "ks_critical_value",
-    "ks_statistic",
-    "lomax_cdf",
-    "lomax_pdf",
-    "lomax_survival",
-    "normal_approx_error",
-    "normal_approx_pmf",
-    "pareto1_cdf",
-    "pareto1_pdf",
-    "pareto1_survival",
-    "pareto2_cdf_shifted",
-    "pareto2_pdf_powerlaw",
-    "peak_stats",
-    "poisson_cdf",
-    "poisson_pmf",
-    "regenerate_trace",
-    "run_alpha_sweep",
-    "run_rate_sweep",
-    "run_tail_comparison",
-    "run_validation_suite",
-    "sample_exponential",
-    "sample_lomax",
-    "sample_pareto1",
-    "sample_poisson_count",
-    "sample_quantile",
-    "simulate_occupancy",
+    *arrivals.__all__,
+    *distributions.__all__,
+    *errors.__all__,
+    *experiments.__all__,
+    *occupancy.__all__,
+    *samplers.__all__,
+    *stats.__all__,
 ]

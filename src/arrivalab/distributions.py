@@ -92,9 +92,12 @@ class ExponentialParams:
 
 @dataclass(frozen=True)
 class ParetoOneParams:
-    """Tail index of the one-parameter Pareto family on [0, inf)."""
+    """Tail index of the one-parameter Pareto family on [0, inf): Lomax at
+    scale 1. ``scale`` is a class attribute, not a field, so the Lomax
+    functions take these params as they are."""
 
     shape: float
+    scale = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "shape", _positive_finite("shape", self.shape))
@@ -248,50 +251,39 @@ def pareto2_pdf_powerlaw(x, p: ParetoTwoParams):
 
 
 # --- Lomax: the self-consistent two-parameter family -------------------------
+# ``ParetoOneParams`` carries scale 1, and ``x / 1.0`` and ``1.0 * y`` are
+# exact, so at scale 1 these are the one-parameter Pareto closed forms bit for
+# bit; the ``pareto1_*`` names below are these functions.
 
 def lomax_survival(x, p: ParetoTwoParams):
-    """Tail probability ``(scale / (scale + x))^shape``, direct closed form."""
+    """Tail probability ``(scale / (scale + x))^shape``, direct closed form;
+    ``(1 + x)^(-shape)`` at scale 1.
+
+    Stays strictly positive arbitrarily deep into the tail, which is the
+    whole point of the heavy-tailed comparison.
+    """
     arr = _as_support(x, "lomax_survival")
     return _like(x, np.exp(-p.shape * np.log1p(arr / p.scale)))
 
 
 def lomax_cdf(x, p: ParetoTwoParams):
-    """``1 - (scale / (scale + x))^shape``; equals pareto1_cdf at scale 1."""
+    """``1 - (scale / (scale + x))^shape``; ``1 - (1 + x)^(-shape)`` at scale 1."""
     arr = _as_support(x, "lomax_cdf")
     return _like(x, -np.expm1(-p.shape * np.log1p(arr / p.scale)))
 
 
 def lomax_pdf(x, p: ParetoTwoParams):
-    """``(shape / scale) * (scale / (scale + x))^(shape + 1)``.
+    """``(shape / scale) * (scale / (scale + x))^(shape + 1)``;
+    ``shape / (1 + x)^(shape + 1)`` at scale 1.
 
-    Exactly the derivative of :func:`lomax_cdf`, unlike the shifted/power-law
-    variant pair above.
+    Exactly the derivative of :func:`lomax_cdf` everywhere on x > 0, unlike
+    the shifted/power-law variant pair above.
     """
     arr = _as_support(x, "lomax_pdf")
     return _like(x, (p.shape / p.scale) * np.exp(-(p.shape + 1.0) * np.log1p(arr / p.scale)))
 
 
-# --- one-parameter Pareto: Lomax at scale 1 ----------------------------------
-# ``x / 1.0`` and ``1.0 * y`` are exact, so these equal their own closed forms
-# bit for bit; domain errors name the Lomax function they delegate to.
-
-def pareto1_cdf(x, p: ParetoOneParams):
-    """``1 - (1 + x)^(-shape)`` on x >= 0."""
-    return lomax_cdf(x, ParetoTwoParams(p.shape))
-
-
-def pareto1_pdf(x, p: ParetoOneParams):
-    """``shape / (1 + x)^(shape + 1)``, the cdf's derivative everywhere on x > 0."""
-    return lomax_pdf(x, ParetoTwoParams(p.shape))
-
-
-def pareto1_survival(x, p: ParetoOneParams):
-    """Tail probability ``(1 + x)^(-shape)``, direct closed form.
-
-    Stays strictly positive arbitrarily deep into the tail, which is the
-    whole point of the heavy-tailed comparison.
-    """
-    return lomax_survival(x, ParetoTwoParams(p.shape))
+pareto1_cdf, pareto1_pdf, pareto1_survival = lomax_cdf, lomax_pdf, lomax_survival
 
 
 # --- normal approximation to the Poisson pmf ---------------------------------

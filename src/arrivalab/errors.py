@@ -4,6 +4,8 @@ Domain violations are reported, never clamped: a silently "fixed" argument
 would mask real modelling mistakes (negative times, invalid shape values).
 """
 
+__all__ = ["ParameterError", "DomainError"]
+
 
 class ParameterError(ValueError):
     """A distribution or configuration parameter is outside its legal domain."""

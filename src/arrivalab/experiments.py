@@ -9,6 +9,7 @@ results.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -411,31 +412,41 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
+def _stream(cfg, block, k=0) -> RngStream:
+    """Stream ``k`` of validation block ``block``: each block owns
+    ``KS_REPETITIONS`` ids above ``_VALIDATION_STREAM_BASE``."""
+    return RngStream(cfg.seed, _VALIDATION_STREAM_BASE + block * KS_REPETITIONS + k)
+
+
+def _check(name, statistic, threshold, ok) -> ValidationCheck:
+    return ValidationCheck(name, statistic, threshold, "pass" if ok else "fail")
+
+
+def _central_difference(cdf, x, params):
+    h = 1e-5
+    return (cdf(x + h, params) - cdf(x - h, params)) / (2.0 * h)
+
+
 def _ks_repetition_check(cfg, name, block, sampler, params, cdf) -> ValidationCheck:
     crit = ks_critical_value(KS_SAMPLE_SIZE)
     passes = 0
     for k in range(KS_REPETITIONS):
-        stream = RngStream(cfg.seed, _VALIDATION_STREAM_BASE + block * KS_REPETITIONS + k)
-        sample = EmpiricalSample.from_values(sampler(stream, params, size=KS_SAMPLE_SIZE))
+        sample = EmpiricalSample.from_values(sampler(_stream(cfg, block, k), params, size=KS_SAMPLE_SIZE))
         if ks_statistic(sample, lambda x: cdf(x, params)) < crit:
             passes += 1
-    status = "pass" if passes >= KS_MIN_PASSES else "fail"
-    return ValidationCheck(name, float(passes), float(KS_MIN_PASSES), status)
+    return _check(name, float(passes), float(KS_MIN_PASSES), passes >= KS_MIN_PASSES)
 
 
 def _derivative_check(cfg, name, block, cdf, pdf, draw_point) -> ValidationCheck:
     # probe domains keep cdf well away from 1 so the central difference
     # retains enough relative precision for the 1e-6 comparison
-    stream = RngStream(cfg.seed, _VALIDATION_STREAM_BASE + block * KS_REPETITIONS)
-    h = 1e-5
+    stream = _stream(cfg, block)
     worst = 0.0
     for _ in range(DERIVATIVE_POINTS):
         x, params = draw_point(stream.uniform_open(3))
-        fd = (cdf(x + h, params) - cdf(x - h, params)) / (2.0 * h)
-        rel = abs(fd - pdf(x, params)) / pdf(x, params)
+        rel = abs(_central_difference(cdf, x, params) - pdf(x, params)) / pdf(x, params)
         worst = max(worst, rel)
-    status = "pass" if worst < DERIVATIVE_RTOL else "fail"
-    return ValidationCheck(name, worst, DERIVATIVE_RTOL, status)
+    return _check(name, worst, DERIVATIVE_RTOL, worst < DERIVATIVE_RTOL)
 
 
 def _exp_point(u):
@@ -459,71 +470,46 @@ def run_validation_suite(config: ExperimentConfig | None = None) -> ValidationRe
     *supposed* to report "expected-mismatch".
     """
     cfg = config if config is not None else ExperimentConfig()
-    checks: list[ValidationCheck] = []
-    block = 0
+    blocks = itertools.count()  # one block of stream ids per check that draws
 
-    checks.append(
-        _ks_repetition_check(
-            cfg, "ks-exponential", block, sample_exponential, ExponentialParams(cfg.exp_rate), exp_cdf
-        )
-    )
-    block += 1
-    for a in cfg.alphas:
-        checks.append(
-            _ks_repetition_check(
-                cfg, f"ks-pareto1-a{a:g}", block, sample_pareto1, ParetoOneParams(a), pareto1_cdf
-            )
-        )
-        block += 1
-    for a, b in VALIDATION_LOMAX_CELLS:
-        checks.append(
-            _ks_repetition_check(
-                cfg, f"ks-lomax-a{a:g}-b{b:g}", block, sample_lomax, ParetoTwoParams(a, b), lomax_cdf
-            )
-        )
-        block += 1
+    # cells are built per call, not at import, so a name rebound on this
+    # module after import (a wrapper, a test double) is the one called
+    ks_cells = [
+        ("ks-exponential", sample_exponential, ExponentialParams(cfg.exp_rate), exp_cdf),
+        *((f"ks-pareto1-a{a:g}", sample_pareto1, ParetoOneParams(a), pareto1_cdf) for a in cfg.alphas),
+        *(
+            (f"ks-lomax-a{a:g}-b{b:g}", sample_lomax, ParetoTwoParams(a, b), lomax_cdf)
+            for a, b in VALIDATION_LOMAX_CELLS
+        ),
+    ]
+    checks = [_ks_repetition_check(cfg, name, next(blocks), *cell) for name, *cell in ks_cells]
 
     for m in POISSON_MOMENT_MEANS:
-        stream = RngStream(cfg.seed, _VALIDATION_STREAM_BASE + block * KS_REPETITIONS)
-        block += 1
-        draws = sample_poisson_count(stream, PoissonParams(m, 1.0), size=MOMENT_SAMPLE_SIZE)
+        draws = sample_poisson_count(_stream(cfg, next(blocks)), PoissonParams(m, 1.0), size=MOMENT_SAMPLE_SIZE)
         mean_err = abs(float(np.mean(draws)) - m) / m
         var_err = abs(float(np.var(draws)) - m) / m
-        checks.append(
-            ValidationCheck(
-                f"poisson-mean-m{m:g}", mean_err, MOMENT_RTOL, "pass" if mean_err < MOMENT_RTOL else "fail"
-            )
-        )
-        checks.append(
-            ValidationCheck(
-                f"poisson-variance-m{m:g}", var_err, MOMENT_RTOL, "pass" if var_err < MOMENT_RTOL else "fail"
-            )
-        )
+        checks.append(_check(f"poisson-mean-m{m:g}", mean_err, MOMENT_RTOL, mean_err < MOMENT_RTOL))
+        checks.append(_check(f"poisson-variance-m{m:g}", var_err, MOMENT_RTOL, var_err < MOMENT_RTOL))
 
-    checks.append(_derivative_check(cfg, "derivative-exponential", block, exp_cdf, exp_pdf, _exp_point))
-    block += 1
-    checks.append(_derivative_check(cfg, "derivative-pareto1", block, pareto1_cdf, pareto1_pdf, _pareto1_point))
-    block += 1
-    checks.append(_derivative_check(cfg, "derivative-lomax", block, lomax_cdf, lomax_pdf, _lomax_point))
-    block += 1
+    derivative_cells = [
+        ("derivative-exponential", exp_cdf, exp_pdf, _exp_point),
+        ("derivative-pareto1", pareto1_cdf, pareto1_pdf, _pareto1_point),
+        ("derivative-lomax", lomax_cdf, lomax_pdf, _lomax_point),
+    ]
+    checks += [_derivative_check(cfg, name, next(blocks), *cell) for name, *cell in derivative_cells]
 
     # the shifted CDF and the power-law pdf are deliberately not a
     # derivative/antiderivative pair; prove it at fixed probes
-    h = 1e-5
     p2 = ParetoTwoParams(1.5, 1.0)
     worst = 0.0
     for x in (0.5, 1.0, 2.0, 5.0):
-        fd = (pareto2_cdf_shifted(x + h, p2) - pareto2_cdf_shifted(x - h, p2)) / (2.0 * h)
+        fd = _central_difference(pareto2_cdf_shifted, x, p2)
         worst = max(worst, abs(fd - pareto2_pdf_powerlaw(x, p2)) / max(fd, 1e-300))
     status = "expected-mismatch" if worst > MISMATCH_MIN_REL else "fail"
     checks.append(ValidationCheck("pareto2-shifted-powerlaw-mismatch", worst, MISMATCH_MIN_REL, status))
 
     errors = [normal_approx_error(PoissonParams(m, 1.0)) for m in NORMAL_ERROR_MEANS]
     violations = sum(1 for later, earlier in zip(errors[1:], errors[:-1]) if not later < earlier)
-    checks.append(
-        ValidationCheck(
-            "normal-approx-monotone", float(violations), 0.0, "pass" if violations == 0 else "fail"
-        )
-    )
+    checks.append(_check("normal-approx-monotone", float(violations), 0.0, violations == 0))
 
     return ValidationReport(tuple(checks))

@@ -190,8 +190,8 @@ def peak_stats(s: OccupancySeries) -> PeakStats:
     """Peak count, the earliest time it is attained, and the time-weighted mean."""
     if s.end_time == np.inf:
         raise DomainError(
-            "series end_time is infinite: a holding time overflowed to inf "
-            "(Lomax holding at a tiny shape), so there is no finite span to average over"
+            "series end_time is infinite: a holding time overflowed to inf, "
+            "so there is no finite span to average over"
         )
     if not (np.isfinite(s.end_time) and s.end_time > 0):
         raise DomainError("series spans no time")

@@ -80,17 +80,13 @@ def exponential_from_uniform(u, p: ExponentialParams):
     return -np.log(u) / p.rate
 
 
-def pareto1_from_uniform(u, p: ParetoOneParams):
-    """Map uniform u in (0, 1) to ``u**(-1/shape) - 1``: Lomax at scale 1.
-
-    Inverts the one-parameter CDF: u -> 0 gives the deep tail, u -> 1 gives
-    the support infimum 0.
-    """
-    return lomax_from_uniform(u, ParetoTwoParams(p.shape))
-
-
 def lomax_from_uniform(u, p: ParetoTwoParams):
-    """Map uniform u in (0, 1) to ``scale * (u**(-1/shape) - 1)``."""
+    """Map uniform u in (0, 1) to ``scale * (u**(-1/shape) - 1)``, which is
+    ``u**(-1/shape) - 1`` for ``ParetoOneParams`` (scale 1).
+
+    Inverts the CDF: u -> 0 gives the deep tail, u -> 1 gives the support
+    infimum 0.
+    """
     return p.scale * (np.power(u, -1.0 / p.shape) - 1.0)
 
 
@@ -102,15 +98,15 @@ def sample_exponential(r: RngStream, p: ExponentialParams, size=None):
     return float(x) if size is None else x
 
 
-def sample_pareto1(r: RngStream, p: ParetoOneParams, size=None):
-    """One-parameter Pareto variate(s), strictly positive: Lomax at scale 1."""
-    return sample_lomax(r, ParetoTwoParams(p.shape), size)
-
-
 def sample_lomax(r: RngStream, p: ParetoTwoParams, size=None):
-    """Lomax variate(s), strictly positive."""
+    """Lomax variate(s), strictly positive; one-parameter Pareto variates for
+    ``ParetoOneParams`` (scale 1)."""
     x = lomax_from_uniform(r.uniform_open(size), p)
     return float(x) if size is None else x
+
+
+# the one-parameter Pareto is Lomax at scale 1, which ``ParetoOneParams`` carries
+pareto1_from_uniform, sample_pareto1 = lomax_from_uniform, sample_lomax
 
 
 # the one registry of continuous families: name -> (sampler, params type).

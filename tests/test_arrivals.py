@@ -7,6 +7,7 @@ from arrivalab import (
     ExponentialParams,
     ParameterError,
     ParetoOneParams,
+    ParetoTwoParams,
     PoissonParams,
     RngStream,
     count_in_window,
@@ -57,6 +58,13 @@ class TestGenerateTrace:
             generate_trace("weibull", ExponentialParams(1.0), 10.0, RngStream(0, 0))
         with pytest.raises(ParameterError):
             generate_trace("pareto1", ExponentialParams(1.0), 10.0, RngStream(0, 0))
+
+    def test_pareto1_and_lomax_keep_their_own_params_types(self):
+        # ParetoOneParams carries scale 1, yet the two families stay distinct
+        with pytest.raises(ParameterError):
+            generate_trace("lomax", ParetoOneParams(0.5), 10.0, RngStream(0, 0))
+        with pytest.raises(ParameterError):
+            generate_trace("pareto1", ParetoTwoParams(0.5), 10.0, RngStream(0, 0))
 
     def test_regeneration_is_exact(self):
         tr = exp_trace(seed=3)

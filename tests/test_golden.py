@@ -18,7 +18,8 @@ import pytest
 from arrivalab.cli import main
 from arrivalab.csvio import sha256_file
 
-DIGESTS = Path(__file__).parent / "golden" / "digests.json"
+GOLDEN = Path(__file__).parent / "golden"
+DIGESTS = GOLDEN / "digests.json"
 
 CASES = {
     "sweep-alpha": ["sweep-alpha"],
@@ -51,6 +52,9 @@ CASES = {
         "--horizon", "50",
     ],
     "compare-flags": ["compare", "--alpha", "1.5", "--beta", "2", "--exp-rate", "2", "--x-max", "5"],
+    # the ten alphas of the validate-suite benchmark: pins the stream id of
+    # every validation block past the ten pareto1 cells
+    "validate-ten-alphas": ["validate", "--config", str(GOLDEN / "validate-ten-alphas.cfg")],
 }
 
 

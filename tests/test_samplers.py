@@ -205,7 +205,8 @@ class TestBlockDrawsEqualScalarDraws:
         (sample_exponential, ExponentialParams(0.05)),
         (sample_lomax, ParetoTwoParams(1.5, 1.0)),
         (sample_lomax, ParetoTwoParams(0.3, 20.0)),
-        (sample_pareto1, ParetoOneParams(0.7)),
+        # sample_pareto1 is sample_lomax by name; the id keeps its own name
+        pytest.param(sample_pareto1, ParetoOneParams(0.7), id="sample_pareto1-params4"),
     ]
 
     @pytest.mark.parametrize("sampler,params", CASES)
