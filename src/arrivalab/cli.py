@@ -32,6 +32,8 @@ from .samplers import FAMILIES, RngStream
 __all__ = ["main", "load_config_file", "KNOWN_CONFIG_KEYS"]
 
 DEFAULT_OUT = "out"
+# config and report text is UTF-8 whatever the locale; non-UTF-8 bytes pass through
+_UTF8 = {"encoding": "utf-8", "errors": "surrogateescape"}
 
 _LIST_KEYS = {"alphas", "betas", "rates", "arrivals"}
 _FLOAT_KEYS = {"alpha", "beta", "rate", "exp_rate", "horizon", "x_max", "x_step", "holding_rate"}
@@ -46,7 +48,7 @@ KNOWN_CONFIG_KEYS = frozenset(
 def load_config_file(path) -> dict:
     """Flat ``key = value`` text; '#' comments; unknown keys are errors."""
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(**_UTF8).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -217,7 +219,7 @@ def _cmd_validate(args) -> int:
     report = run_validation_suite(cfg)
     path = outdir / "validation_report.txt"
     header = "".join(f"# {k}={v}\n" for k, v in _run_provenance("validate", cfg.seed).items())
-    path.write_text(header + report.render())
+    path.write_text(header + report.render(), **_UTF8, newline="\n")
     print(report.render(), end="")
     if args.verbose:
         print(f"wrote {path}", file=sys.stderr)

@@ -3,13 +3,16 @@
 Every CSV starts with comment-prefixed provenance lines (``# key=value``),
 then a column-name row, then data rows. Floats are written with 17
 significant digits so a rerun with the same seed is byte-identical and
-round-trips exactly.
+round-trips exactly. Every file is UTF-8 with ``\n`` line ends, whatever
+the locale.
 """
 
 from __future__ import annotations
 
 import hashlib
 from pathlib import Path
+
+import numpy as np
 
 from .arrivals import ArrivalTrace
 from .experiments import SeriesTable
@@ -31,40 +34,52 @@ def format_number(v) -> str:
     return format(float(v), f".{FLOAT_DIGITS}g")
 
 
-# bulk rows, streamed; the float field formats as format_number does
-_TRACE_ROW = f"{{}},{{:.{FLOAT_DIGITS}g}}\n"
-_OCCUPANCY_ROW = f"{{:.{FLOAT_DIGITS}g}},{{}}\n"
+# float field of a bulk row; "%.17g" % v and format_number(v) give the same bytes
+_FLOAT = f"%.{FLOAT_DIGITS}g"
+_CHUNK_ROWS = 4096
+# argv bytes that are not UTF-8 arrive as surrogates and are written back unchanged
+_TEXT = {"encoding": "utf-8", "errors": "surrogateescape", "newline": "\n"}
 
 
 def _provenance_lines(provenance: dict[str, str]) -> list[str]:
     return [f"# {key}={value}" for key, value in provenance.items()]
 
 
+def _write_csv(path, provenance: dict[str, str], header: str, row: str, *columns) -> Path:
+    """Provenance lines, ``header``, then one ``row`` %-template per row of the columns.
+
+    Rows go out in chunks of 4096, each one ``%`` over the chunk's interleaved
+    values and one write, so no full-length row list is ever held.
+    """
+    path = Path(path)
+    width = len(columns)
+    with path.open("w", **_TEXT) as fh:
+        fh.write("\n".join([*_provenance_lines(provenance), header]) + "\n")
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            parts = [col[start:start + _CHUNK_ROWS].tolist() for col in columns]
+            flat = [None] * (width * len(parts[0]))
+            for j, part in enumerate(parts):
+                flat[j::width] = part
+            fh.write(row * len(parts[0]) % tuple(flat))
+    return path
+
+
 def write_table_csv(path, table: SeriesTable) -> Path:
     """One SeriesTable as provenance header + x column + named y columns."""
-    path = Path(path)
-    lines = _provenance_lines(table.provenance)
-    lines.append(",".join([table.x_label, *table.column_names]))
     cols = [table.x] + [table.columns[name] for name in table.column_names]
-    for row in zip(*cols):
-        lines.append(",".join(format_number(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_csv(path, table.provenance, ",".join([table.x_label, *table.column_names]),
+                      ",".join([_FLOAT] * len(cols)) + "\n", *cols)
 
 
 def write_trace_csv(path, trace: ArrivalTrace, provenance: dict[str, str] | None = None) -> Path:
     """Arrival trace as ``index,time`` rows."""
-    path = Path(path)
     prov = dict(provenance or {})
     prov.setdefault("family", trace.family)
     prov.setdefault("horizon", repr(trace.horizon))
     prov.setdefault("seed", str(trace.seed))
     prov.setdefault("stream_id", str(trace.stream_id))
     prov.setdefault("count", str(len(trace)))
-    with path.open("w") as fh:
-        fh.write("\n".join([*_provenance_lines(prov), "index,time"]) + "\n")
-        fh.writelines(map(_TRACE_ROW.format, range(len(trace)), trace.times.tolist()))
-    return path
+    return _write_csv(path, prov, "index,time", f"%d,{_FLOAT}\n", np.arange(len(trace)), trace.times)
 
 
 def write_occupancy_csv(path, series: OccupancySeries, provenance: dict[str, str] | None = None) -> Path:
@@ -73,7 +88,6 @@ def write_occupancy_csv(path, series: OccupancySeries, provenance: dict[str, str
     The summary (peak, time-average, blocking fraction) rides along as
     comment lines so the data rows stay a plain two-column table.
     """
-    path = Path(path)
     ps = peak_stats(series)
     total = series.admitted + series.blocked
     prov = dict(provenance or {})
@@ -84,10 +98,7 @@ def write_occupancy_csv(path, series: OccupancySeries, provenance: dict[str, str
     prov["peak_time"] = format_number(ps.peak_time)
     prov["mean_occupancy"] = format_number(ps.mean_occupancy)
     prov["blocking_fraction"] = format_number(blocking_fraction(series)) if total else "nan"
-    with path.open("w") as fh:
-        fh.write("\n".join([*_provenance_lines(prov), "time,count"]) + "\n")
-        fh.writelines(map(_OCCUPANCY_ROW.format, series.breakpoints.tolist(), series.counts.tolist()))
-    return path
+    return _write_csv(path, prov, "time,count", f"{_FLOAT},%d\n", series.breakpoints, series.counts)
 
 
 def sha256_file(path) -> str:
@@ -101,5 +112,5 @@ def write_manifest(outdir, filenames, provenance: dict[str, str] | None = None,
     lines = _provenance_lines(provenance or {})
     lines += [f"{sha256_file(outdir / fn)}  {fn}" for fn in sorted(filenames)]
     path = outdir / name
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", **_TEXT)
     return path

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import arrivalab.experiments
@@ -406,3 +411,27 @@ class TestConfigResolution:
         assert main(["simulate", "--family", "pareto1", "--alpha", "0.3", "--alpha", "0.5",
                      "--out", str(tmp_path)]) == 2
         assert "single alpha" in capsys.readouterr().err
+
+
+class TestLocaleIndependence:
+    """Outputs are UTF-8 with "\\n" line ends under any locale, so their bytes do not vary."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
+    def run_simulate(self, out, locale_env, *extra):
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONIO"))}
+        env.update(locale_env, PYTHONPATH=str(self.SRC))
+        args = [sys.executable, "-m", "arrivalab.cli", "simulate", "--arrivals", "1,2", "--out", str(out), *extra]
+        proc = subprocess.run(args, env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        return (out / "manifest.txt").read_bytes()
+
+    @pytest.mark.parametrize("form", ["flag", "file"])
+    def test_ascii_locale_writes_the_utf8_mode_bytes(self, form, tmp_path):
+        cfg = tmp_path / "label.cfg"
+        cfg.write_bytes("label = café\n".encode("utf-8"))
+        extra = ["--label", "café"] if form == "flag" else ["--config", str(cfg)]
+        ascii_c = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        manifest = self.run_simulate(tmp_path / "c", ascii_c, *extra)
+        assert manifest == self.run_simulate(tmp_path / "utf8", {"PYTHONUTF8": "1"}, *extra)
+        assert "# label=café\n".encode("utf-8") in (tmp_path / "c" / "trace.csv").read_bytes()
