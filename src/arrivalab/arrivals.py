@@ -1,9 +1,8 @@
 """Arrival traces: renewal processes with i.i.d. gaps on a finite horizon.
 
 Exponential gaps recover the Poisson counting process exactly; Pareto/Lomax
-gaps give the heavy-tailed, bursty alternative. A trace stores its own
-provenance (family, params, seed, stream id) so it can be regenerated bit
-for bit.
+gaps give the heavy-tailed, bursty alternative. A trace records its family,
+seed and stream id for the CSV provenance.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 from .errors import DomainError, ParameterError
 from .samplers import FAMILIES, RngStream
 
-__all__ = ["ArrivalTrace", "generate_trace", "regenerate_trace", "count_in_window", "fixed_trace"]
+__all__ = ["ArrivalTrace", "generate_trace", "fixed_trace"]
 
 _BLOCK = 1024
 
@@ -27,7 +26,6 @@ class ArrivalTrace:
     times: np.ndarray
     horizon: float
     family: str
-    params: object
     seed: int = 0
     stream_id: int = 0
 
@@ -71,18 +69,8 @@ def generate_trace(family: str, params, horizon: float, r: RngStream) -> Arrival
         if keep < _BLOCK:
             break
         offset = float(cs[-1])
-    times = np.concatenate(chunks) if chunks else np.empty(0)
-    times = _enforce_strict_increase(times, horizon)
-    return ArrivalTrace(times, float(horizon), family, params, r.seed, r.stream_id)
-
-
-def regenerate_trace(trace: ArrivalTrace) -> ArrivalTrace:
-    """Rebuild a trace from its stored provenance; equal to the original."""
-    if trace.family == "fixed":
-        return fixed_trace(trace.times, trace.horizon)
-    return generate_trace(
-        trace.family, trace.params, trace.horizon, RngStream(trace.seed, trace.stream_id)
-    )
+    times = _enforce_strict_increase(np.concatenate(chunks), horizon)
+    return ArrivalTrace(times, float(horizon), family, r.seed, r.stream_id)
 
 
 def fixed_trace(times, horizon: float | None = None) -> ArrivalTrace:
@@ -92,23 +80,7 @@ def fixed_trace(times, horizon: float | None = None) -> ArrivalTrace:
         if arr.size == 0:
             raise DomainError("fixed_trace needs a horizon when no times are given")
         horizon = float(arr[-1])
-    return ArrivalTrace(arr, float(horizon), "fixed", None)
-
-
-def count_in_window(trace: ArrivalTrace, t0: float, t1: float) -> int:
-    """Arrivals in the half-open window (t0, t1].
-
-    Half-open windows make counts additive over adjacent windows with no
-    double counting.
-    """
-    if not (0.0 <= t0 < t1 <= trace.horizon):
-        raise DomainError(
-            f"window must satisfy 0 <= t0 < t1 <= horizon, got ({t0!r}, {t1!r}] "
-            f"with horizon {trace.horizon!r}"
-        )
-    hi = int(np.searchsorted(trace.times, t1, side="right"))
-    lo = int(np.searchsorted(trace.times, t0, side="right"))
-    return hi - lo
+    return ArrivalTrace(arr, float(horizon), "fixed")
 
 
 def _enforce_strict_increase(times: np.ndarray, horizon: float) -> np.ndarray:

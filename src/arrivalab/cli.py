@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import unicodedata
 from pathlib import Path
 
 from ._version import __version__
@@ -75,6 +76,9 @@ def _parse_value(key: str, raw: str):
             return None if raw.lower() in ("none", "unbounded") else int(raw)
     except ValueError as exc:
         raise ParameterError(f"config key {key!r}: cannot parse {raw!r}: {exc}") from None
+    if key == "label" and any(unicodedata.category(c) in ("Cc", "Zl", "Zp") for c in raw):
+        # a line break or escape sequence would break out of the provenance comment line
+        raise ParameterError(f"label must not contain control characters or line breaks, got {raw!r}")
     return raw
 
 
@@ -299,10 +303,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParameterError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

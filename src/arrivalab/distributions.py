@@ -36,7 +36,6 @@ __all__ = [
     "ParetoOneParams",
     "ParetoTwoParams",
     "poisson_pmf",
-    "poisson_cdf",
     "exp_pdf",
     "exp_cdf",
     "exp_survival",
@@ -186,16 +185,6 @@ def poisson_pmf(n, p: PoissonParams):
     m = p.mean
     log_fact = np.fromiter(map(_lgamma_integer, (k + 1.0).ravel().tolist()), float, k.size)
     return _like(n, np.exp(k * math.log(m) - m - log_fact.reshape(k.shape)))
-
-
-def poisson_cdf(n, p: PoissonParams):
-    """Probability of at most ``n`` arrivals: partial sums of the pmf."""
-    k = _as_count(n)
-    top = int(np.max(k))
-    cum = np.cumsum(poisson_pmf(np.arange(top + 1), p))
-    # running float sum can overshoot 1 by a few ulp; trim, monotonicity survives
-    cum = np.minimum(cum, 1.0)
-    return _like(n, cum[k.astype(np.int64)])
 
 
 # --- exponential baseline ---------------------------------------------------

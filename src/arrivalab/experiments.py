@@ -198,22 +198,13 @@ class SeriesTable:
             frozen[key] = arr
         object.__setattr__(self, "columns", frozen)
 
-    def column(self, name: str) -> np.ndarray:
-        return self.columns[name]
-
     @property
     def column_names(self) -> tuple[str, ...]:
         return tuple(self.columns)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _fmt_list(values) -> str:
-    return ",".join(_fmt(float(v)) for v in values)
+    return ",".join(repr(float(v)) for v in values)
 
 
 def _base_provenance(cfg: ExperimentConfig, command: str) -> dict[str, str]:
@@ -224,15 +215,15 @@ def _base_provenance(cfg: ExperimentConfig, command: str) -> dict[str, str]:
         "alphas": _fmt_list(cfg.alphas),
         "betas": _fmt_list(cfg.betas),
         "rates": _fmt_list(cfg.rates),
-        "exp_rate": _fmt(cfg.exp_rate),
-        "horizon": _fmt(cfg.horizon),
+        "exp_rate": repr(cfg.exp_rate),
+        "horizon": repr(cfg.horizon),
         "node_budget": str(cfg.node_budget),
         "replications": str(cfg.replications),
         "capacity": str(cfg.effective_capacity()),
         "holding_family": cfg.holding_family,
-        "holding_rate": _fmt(cfg.holding_rate),
-        "x_max": _fmt(cfg.x_max),
-        "x_step": _fmt(cfg.x_step),
+        "holding_rate": repr(cfg.holding_rate),
+        "x_max": repr(cfg.x_max),
+        "x_step": repr(cfg.x_step),
     }
     if cfg.overrides:
         prov["overrides"] = ",".join(cfg.overrides)
@@ -398,9 +389,6 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return all(c.status in ("pass", "expected-mismatch") for c in self.checks)
-
-    def failures(self) -> tuple[ValidationCheck, ...]:
-        return tuple(c for c in self.checks if c.status == "fail")
 
     def render(self) -> str:
         lines = [f"validation checks: {len(self.checks)}"]

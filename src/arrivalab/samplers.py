@@ -65,10 +65,6 @@ class RngStream:
             return float(u)
         return u
 
-    def clone(self) -> "RngStream":
-        """Fresh stream at the start of the same (seed, stream_id) sequence."""
-        return RngStream(self.seed, self.stream_id)
-
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
@@ -128,17 +124,9 @@ def sample_poisson_count(r: RngStream, p: PoissonParams, size=None):
     ``exp(-mean)`` underflows. Both branches draw exactly from the count law,
     so nothing distributional depends on the switch.
     """
-    m = p.mean
-    if size is None:
-        counts = (
-            _poisson_product(r, m, 1)
-            if m <= _POISSON_PRODUCT_LIMIT
-            else _poisson_inverse(r, m, 1)
-        )
-        return int(counts[0])
-    if m <= _POISSON_PRODUCT_LIMIT:
-        return _poisson_product(r, m, int(size))
-    return _poisson_inverse(r, m, int(size))
+    draw = _poisson_product if p.mean <= _POISSON_PRODUCT_LIMIT else _poisson_inverse
+    counts = draw(r, p.mean, 1 if size is None else int(size))
+    return int(counts[0]) if size is None else counts
 
 
 def _poisson_product(r: RngStream, m: float, count: int) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Empirical validation tools: ECDF, one-sample KS distance, nearest-rank
-quantiles, curve crossover location, and the Poisson-vs-normal error gauge.
+"""Empirical validation tools: one-sample KS distance, curve crossover
+location, and the Poisson-vs-normal error gauge.
 
 The KS distance is used descriptively against the fixed 1% critical value
 ``1.63 / sqrt(n)``; this is a fitness gauge, not a hypothesis-testing
@@ -19,10 +19,8 @@ from .errors import DomainError
 __all__ = [
     "KS_CRITICAL_1PCT",
     "EmpiricalSample",
-    "empirical_cdf",
     "ks_statistic",
     "ks_critical_value",
-    "sample_quantile",
     "crossover_point",
     "normal_approx_error",
 ]
@@ -37,12 +35,9 @@ def ks_critical_value(n: int) -> float:
 
 @dataclass(frozen=True)
 class EmpiricalSample:
-    """Sorted nonnegative observations plus generation provenance."""
+    """Sorted nonnegative observations."""
 
     values: np.ndarray
-    family: str = ""
-    params: object = None
-    seed: int | None = None
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
@@ -56,47 +51,28 @@ class EmpiricalSample:
             raise DomainError("empirical sample must be sorted ascending")
 
     @classmethod
-    def from_values(cls, values, family: str = "", params=None, seed: int | None = None):
+    def from_values(cls, values):
         """Sort raw draws into a sample."""
-        return cls(np.sort(np.asarray(values, dtype=float)), family, params, seed)
+        return cls(np.sort(np.asarray(values, dtype=float)))
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-
-def empirical_cdf(s: EmpiricalSample, x):
-    """Fraction of observations <= x; right-continuous step function."""
-    pos = np.searchsorted(s.values, np.asarray(x, dtype=float), side="right")
-    out = pos / len(s)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
 
 
 def ks_statistic(s: EmpiricalSample, cdf) -> float:
     """One-sample KS distance ``sup |ECDF - F|`` against an analytic CDF.
 
     Evaluated at the sorted sample points, where the supremum of the
-    difference against a continuous F is attained.
+    difference against a continuous F is attained. ``cdf`` is called once on
+    the whole sample and must return one value per point.
     """
     xs = s.values
     n = xs.size
-    try:
-        fx = np.asarray(cdf(xs), dtype=float)
-        if fx.shape != xs.shape:
-            raise TypeError
-    except (TypeError, ValueError):  # scalar-only callable
-        fx = np.array([float(cdf(v)) for v in xs])
+    fx = np.asarray(cdf(xs), dtype=float)
+    if fx.shape != xs.shape:
+        raise DomainError(f"cdf returned shape {fx.shape} for {n} sample points")
     i = np.arange(1, n + 1, dtype=float)
     return float(max(np.max(i / n - fx), np.max(fx - (i - 1.0) / n)))
-
-
-def sample_quantile(s: EmpiricalSample, q: float) -> float:
-    """Nearest-rank quantile: deterministic, interpolation-free."""
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"quantile level must lie strictly in (0, 1), got {q!r}")
-    rank = math.ceil(q * len(s))
-    return float(s.values[max(rank - 1, 0)])
 
 
 def crossover_point(f, g, lo: float, hi: float, grid: int = 2048, tol: float = 1e-9):

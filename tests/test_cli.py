@@ -243,6 +243,20 @@ class TestErrorPaths:
     def test_bad_parameter_exits_two(self, tmp_path, capsys):
         assert main(["sweep-alpha", "--out", str(tmp_path), "--alpha", "-0.5"]) == 2
 
+    @pytest.mark.parametrize(
+        "form,label",
+        [("flag", "a\nb"), ("flag", "a\x1b[2J"), ("flag", "a\u2028b"), ("file", "a\x1b[2J"), ("file", "a\x7fb")],
+    )
+    def test_control_character_in_label_exits_two(self, form, label, tmp_path, capsys):
+        # a newline would start a bare line above the CSV header; an escape reaches the terminal
+        cfg = tmp_path / "label.cfg"
+        cfg.write_bytes(f"label = {label}\n".encode("utf-8"))
+        extra = ["--label", label] if form == "flag" else ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main(["simulate", "--arrivals", "1,2", "--out", str(out), *extra]) == 2
+        assert "control characters" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
 
 class TestFlagPlumbing:
     def test_verbose_reports_written_files(self, tmp_path, capsys):

@@ -49,7 +49,7 @@ def increasing_times(n: int, seed: int) -> np.ndarray:
 def test_trace_rows_match_per_value_format(n, tmp_path):
     times = increasing_times(n, seed=n)
     horizon = float(times[-1]) if n else 1.0
-    path = write_trace_csv(tmp_path / "trace.csv", ArrivalTrace(times, horizon, "fixed", None))
+    path = write_trace_csv(tmp_path / "trace.csv", ArrivalTrace(times, horizon, "fixed"))
     expected = "".join(f"{i},{old_float(t)}\n" for i, t in enumerate(times))
     assert data_after(path, "index,time") == expected
 

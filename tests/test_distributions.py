@@ -26,7 +26,6 @@ from arrivalab import (
     pareto1_survival,
     pareto2_cdf_shifted,
     pareto2_pdf_powerlaw,
-    poisson_cdf,
     poisson_pmf,
 )
 from arrivalab.distributions import _lgamma_integer
@@ -72,27 +71,6 @@ class TestPoissonPmf:
     def test_rejects_bad_params(self, rate, duration):
         with pytest.raises(ParameterError):
             PoissonParams(rate, duration)
-
-
-class TestPoissonCdf:
-    def test_at_zero_equals_pmf(self):
-        p = PoissonParams(1.0, 1.0)
-        assert poisson_cdf(0, p) == pytest.approx(math.exp(-1.0), rel=1e-14)
-
-    def test_reaches_total_mass(self):
-        p = PoissonParams(1.0, 1.0)
-        assert abs(poisson_cdf(50, p) - 1.0) < 1e-9
-
-    def test_telescopes_to_pmf(self):
-        p = PoissonParams(3.0, 1.0)
-        for n in range(1, 40):
-            step = poisson_cdf(n, p) - poisson_cdf(n - 1, p)
-            assert step == pytest.approx(poisson_pmf(n, p), abs=1e-12)
-
-    def test_nondecreasing(self):
-        p = PoissonParams(5.0, 1.0)
-        vals = poisson_cdf(np.arange(100), p)
-        assert np.all(np.diff(vals) >= 0)
 
 
 class TestExponential:

@@ -40,7 +40,7 @@ class TestSeriesTable:
         with pytest.raises(ValueError):
             t.x[0] = 5.0
         with pytest.raises(ValueError):
-            t.column("y")[0] = 5.0
+            t.columns["y"][0] = 5.0
 
 
 class TestExperimentConfig:
@@ -99,8 +99,8 @@ class TestAlphaSweep:
         tables = run_alpha_sweep(FAST)
         for shape in DEFAULT_SHAPE_SWEEP:
             cell = table_by_name(tables, f"alpha_{shape:g}")
-            assert cell.column("pareto1_pdf")[0] == shape
-            assert cell.column("exp_pdf")[0] == 1.0
+            assert cell.columns["pareto1_pdf"][0] == shape
+            assert cell.columns["exp_pdf"][0] == 1.0
 
     def test_survival_crosses_baseline_once(self):
         # on a dense grid the sign of (pareto tail - exp tail) changes at
@@ -138,7 +138,7 @@ class TestRateSweep:
     def test_pmf_columns_are_proper_partial_masses(self):
         tables = run_rate_sweep(FAST)
         for rate in DEFAULT_RATE_SWEEP:
-            col = table_by_name(tables, f"rate_{rate:g}").column("poisson_pmf")
+            col = table_by_name(tables, f"rate_{rate:g}").columns["poisson_pmf"]
             assert float(np.sum(col)) <= 1.0
             extended = float(np.sum(poisson_pmf(np.arange(201), PoissonParams(rate, 1.0))))
             assert abs(extended - 1.0) < 1e-6
@@ -146,7 +146,7 @@ class TestRateSweep:
     def test_pmf_mode_nondecreasing_in_rate(self):
         tables = run_rate_sweep(FAST)
         modes = [
-            int(np.argmax(table_by_name(tables, f"rate_{rate:g}").column("poisson_pmf")))
+            int(np.argmax(table_by_name(tables, f"rate_{rate:g}").columns["poisson_pmf"]))
             for rate in DEFAULT_RATE_SWEEP
         ]
         assert modes == sorted(modes)
@@ -155,7 +155,7 @@ class TestRateSweep:
         # aggregated over replications the time-average load follows the rate
         cfg = ExperimentConfig(replications=10, horizon=400.0)
         summary = table_by_name(run_rate_sweep(cfg), "rate_occupancy")
-        means = summary.column("occupancy_mean")
+        means = summary.columns["occupancy_mean"]
         assert np.all(np.diff(means) > 0)
         assert abs(means[-1] - 0.9) / 0.9 < 0.25
 
@@ -163,30 +163,30 @@ class TestRateSweep:
 class TestTailComparison:
     def test_baseline_tops_heavy_tails_at_origin(self):
         curves = table_by_name(run_tail_comparison(FAST), "tail_comparison")
-        exp0 = curves.column("exp_pdf")[0]
+        exp0 = curves.columns["exp_pdf"][0]
         assert exp0 == 1.0
         for shape in DEFAULT_SHAPE_SWEEP:
-            assert exp0 > curves.column(f"pareto1_pdf_a{shape:g}")[0]
+            assert exp0 > curves.columns[f"pareto1_pdf_a{shape:g}"][0]
 
     def test_heavy_tails_dominate_far_out(self):
         curves = table_by_name(run_tail_comparison(FAST), "tail_comparison")
         at_50 = int(np.flatnonzero(curves.x == 50.0)[0])
-        exp_tail = curves.column("exp_pdf")[at_50]
+        exp_tail = curves.columns["exp_pdf"][at_50]
         for shape in DEFAULT_SHAPE_SWEEP:
-            assert curves.column(f"pareto1_pdf_a{shape:g}")[at_50] > exp_tail
+            assert curves.columns[f"pareto1_pdf_a{shape:g}"][at_50] > exp_tail
 
     def test_crossover_summary_brackets_known_root(self):
         summary = table_by_name(run_tail_comparison(FAST), "crossover_summary")
         assert list(summary.x) == list(DEFAULT_SHAPE_SWEEP)
         idx = list(summary.x).index(0.5)
-        assert 2.6 < summary.column("pdf_crossover_x")[idx] < 2.7
+        assert 2.6 < summary.columns["pdf_crossover_x"][idx] < 2.7
 
     def test_powerlaw_columns_only_for_valid_shapes(self):
         cfg = ExperimentConfig(replications=2, horizon=10.0, alphas=(0.5, 1.5))
         curves = table_by_name(run_tail_comparison(cfg), "tail_comparison")
         assert "powerlaw_pdf_a1.5_b1" in curves.column_names
         assert not any(name.startswith("powerlaw_pdf_a0.5") for name in curves.column_names)
-        col = curves.column("powerlaw_pdf_a1.5_b1")
+        col = curves.columns["powerlaw_pdf_a1.5_b1"]
         assert math.isnan(col[0])  # density diverges at the origin
         assert np.all(np.isfinite(col[1:]))
 
@@ -229,7 +229,7 @@ class TestReproducibility:
             assert ta.provenance == tb.provenance
             assert np.array_equal(ta.x, tb.x)
             for name in ta.column_names:
-                assert np.array_equal(ta.column(name), tb.column(name), equal_nan=True)
+                assert np.array_equal(ta.columns[name], tb.columns[name], equal_nan=True)
 
     def test_sweep_order_does_not_matter(self):
         first = run_rate_sweep(FAST)
@@ -238,7 +238,7 @@ class TestReproducibility:
         second = run_rate_sweep(FAST)
         for ta, tb in zip(first, second):
             for name in ta.column_names:
-                assert np.array_equal(ta.column(name), tb.column(name), equal_nan=True)
+                assert np.array_equal(ta.columns[name], tb.columns[name], equal_nan=True)
 
     def test_overrides_echoed_in_provenance(self):
         cfg = ExperimentConfig(replications=2, horizon=10.0, alphas=(0.5,), overrides=("alphas",))

@@ -47,11 +47,6 @@ class TestRngStream:
     def test_scalar_draw_matches_first_vector_draw(self):
         assert RngStream(5, 5).uniform_open() == RngStream(5, 5).uniform_open(3)[0]
 
-    def test_clone_restarts_sequence(self):
-        s = RngStream(11, 2)
-        first = s.uniform_open(10)
-        assert np.array_equal(s.clone().uniform_open(10), first)
-
     @pytest.mark.parametrize("seed,stream_id", [(-1, 0), (0, -3), (2**64, 0), (1.5, 0)])
     def test_rejects_bad_keys(self, seed, stream_id):
         with pytest.raises(ParameterError):
