@@ -8,6 +8,12 @@ Each module's ``__all__`` is the one list of its public names; the package
 exports them all.
 """
 
+import os
+
+# nothing here calls BLAS, and an idle OpenBLAS pool busy-waits on a core the
+# forked sweep workers need; a value the user set still wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import arrivals, distributions, errors, experiments, occupancy, samplers, stats
 from ._version import __version__
 from .arrivals import *  # noqa: F401,F403

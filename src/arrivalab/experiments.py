@@ -4,13 +4,18 @@ Everything here is a pure function of an :class:`ExperimentConfig`: tables
 carry a provenance block (config echo + seed + version) from which they can
 be regenerated bit for bit, and no runner mutates shared state, so sweeps
 may run in any order (or concurrently on disjoint streams) with identical
-results.
+results. The runners use that independence: sweep replications and the KS
+validation checks run on every usable CPU (see ``_fork_map``), and every
+output is the same whatever the CPU count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,6 +240,87 @@ def _grid(cfg: ExperimentConfig) -> np.ndarray:
     return np.arange(n + 1, dtype=float) * cfg.x_step
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _run_share(fn, jobs, start, step):
+    """Results of ``jobs[start::step]`` in order, and ``(index, exception)``
+    of the first job that raised (which ends the share), or None."""
+    results = []
+    for i in range(start, len(jobs), step):
+        try:
+            results.append(fn(*jobs[i]))
+        except Exception as exc:
+            return results, (i, exc)
+    return results, None
+
+
+def _fork_map(fn, jobs: list):
+    """``[fn(*job) for job in jobs]``, spread over every usable CPU.
+
+    The jobs are dealt round-robin to ``W = min(len(jobs), usable CPUs)``
+    workers. Worker 0 is the caller; each other worker is a forked child that
+    pickles its results (or its first exception, with the job's index) into a
+    pipe and leaves through ``os._exit``. The results come back in job order,
+    and a failure raises the exception of the lowest failing job, as the
+    plain loop would, so nothing depends on ``W``. With ``W == 1`` (one CPU,
+    one job, or no ``os.fork``) the caller runs every job itself.
+
+    Jobs must be independent: a child's writes to shared state stay in the
+    child, and only the pickled results come back.
+    """
+    workers = max(1, min(len(jobs), _usable_cpus())) if hasattr(os, "fork") else 1
+    children = {}  # pid -> read end of its pipe, until it is reaped
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(_run_share(fn, jobs, w, workers), pipe, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)  # never return into the caller's stack
+            os.close(write_fd)
+            children[pid] = open(read_fd, "rb")
+        shares = [_run_share(fn, jobs, 0, workers)]
+        for pid, pipe in list(children.items()):
+            with pipe:
+                data = pipe.read()  # to EOF before waiting, so a full pipe cannot block the child
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code != 0 or not data:
+                raise RuntimeError(f"worker process {pid} exited with status {code} without sending its results")
+            shares.append(pickle.loads(data))
+    finally:
+        for pid, pipe in children.items():  # the caller failed first: stop and reap the rest
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failures = [error for _, error in shares if error is not None]
+    if failures:
+        raise min(failures, key=lambda error: error[0])[1]
+    out = [None] * len(jobs)
+    for w, (results, _) in enumerate(shares):
+        out[w::workers] = results
+    return out
+
+
+def _replication_summary(loc: LocationConfig, seed: int, trace, rep: int):
+    """Peak, time-average occupancy and blocking fraction (None for an empty
+    trace) of one sweep replication."""
+    series = simulate_occupancy(trace, loc, RngStream(seed, HOLDING_STREAM_OFFSET + rep))
+    ps = peak_stats(series)
+    return ps.peak_count, ps.mean_occupancy, blocking_fraction(series) if len(trace) else None
+
+
 def _occupancy_summary(cfg: ExperimentConfig, axis: str, family: str, cells) -> SeriesTable:
     """The ``{axis}_occupancy`` table of ``sweep-{axis}``: per ``(x, params)``
     cell, the mean peak, mean time-average occupancy and mean blocking
@@ -244,17 +330,19 @@ def _occupancy_summary(cfg: ExperimentConfig, axis: str, family: str, cells) -> 
     out of its mean; a cell with none left reads NaN.
     """
     loc = cfg.location()
+    reps = cfg.replications
+    # traces are drawn here, not in the workers, so every generate_trace call
+    # stays in this process, where a wrapper of the module name can see it
+    jobs = [
+        (loc, cfg.seed, generate_trace(family, params, cfg.horizon, RngStream(cfg.seed, rep)), rep)
+        for _, params in cells
+        for rep in range(reps)
+    ]
+    results = _fork_map(_replication_summary, jobs)
     summaries = []
-    for _, params in cells:
-        peaks, means, blocks = [], [], []
-        for rep in range(cfg.replications):
-            trace = generate_trace(family, params, cfg.horizon, RngStream(cfg.seed, rep))
-            series = simulate_occupancy(trace, loc, RngStream(cfg.seed, HOLDING_STREAM_OFFSET + rep))
-            ps = peak_stats(series)
-            peaks.append(ps.peak_count)
-            means.append(ps.mean_occupancy)
-            if len(trace):
-                blocks.append(blocking_fraction(series))
+    for c in range(len(cells)):
+        peaks, means, blocks = zip(*results[c * reps:(c + 1) * reps])
+        blocks = [b for b in blocks if b is not None]
         block_mean = float(np.mean(blocks)) if blocks else float("nan")
         summaries.append((float(np.mean(peaks)), float(np.mean(means)), block_mean))
     prov = _base_provenance(cfg, f"sweep-{axis}")
@@ -470,7 +558,8 @@ def run_validation_suite(config: ExperimentConfig | None = None) -> ValidationRe
             for a, b in VALIDATION_LOMAX_CELLS
         ),
     ]
-    checks = [_ks_repetition_check(cfg, name, next(blocks), *cell) for name, *cell in ks_cells]
+    # block ids are taken in cell order, one per cell, before any check runs
+    checks = _fork_map(_ks_repetition_check, [(cfg, name, next(blocks), *cell) for name, *cell in ks_cells])
 
     for m in POISSON_MOMENT_MEANS:
         draws = sample_poisson_count(_stream(cfg, next(blocks)), PoissonParams(m, 1.0), size=MOMENT_SAMPLE_SIZE)

@@ -10,13 +10,15 @@ to the admission decision.
 from __future__ import annotations
 
 import heapq
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arrivals import ArrivalTrace
 from .errors import DomainError, ParameterError
-from .samplers import FAMILIES, RngStream
+from .samplers import FAMILIES, SMALLEST_UNIFORM, RngStream, exponential_from_uniform, lomax_from_uniform
 
 __all__ = [
     "HOLDING_FAMILIES",
@@ -63,6 +65,14 @@ class LocationConfig:
         params = self.holding_params if self.holding_params is not None else want(1.0)
         if not isinstance(params, want):
             raise ParameterError(f"holding family {fam!r} needs {want.__name__}, got {type(params).__name__}")
+        inverse = exponential_from_uniform if fam == "exponential" else lomax_from_uniform
+        with np.errstate(over="ignore"):
+            largest = float(inverse(SMALLEST_UNIFORM, params))
+        if not math.isfinite(largest):
+            raise ParameterError(
+                f"holding law {fam} {params} can draw an infinite hold: its largest draw, at the "
+                f"smallest stream uniform 2**-54, must not exceed the float maximum {sys.float_info.max:.6g}"
+            )
         object.__setattr__(self, "holding_params", params)
 
 

@@ -40,12 +40,21 @@ _U64_MAX = 2**64
 _POISSON_PRODUCT_LIMIT = 30.0
 
 
+# the smallest uniform an RngStream returns; the largest draw of a continuous
+# family is its inverse transform here
+SMALLEST_UNIFORM = 2.0**-54
+
+
 class RngStream:
     """Replayable uniform source: Philox keyed by ``(seed, stream_id)``.
 
-    Uniforms are 53-bit midpoints ``(k + 1/2) / 2**53`` and therefore lie
-    strictly inside (0, 1): inverse transforms never see 0 or 1, so every
-    continuous variate is finite and strictly positive.
+    Uniforms are ``(k + 1/2) / 2**53`` for a 53-bit ``k``, rounded to float64.
+    The smallest is ``SMALLEST_UNIFORM``, so inverse transforms never see 0,
+    and a continuous variate is finite unless the law's inverse transform
+    there overflows to ``inf``: ``LocationConfig`` rejects such holding laws
+    up front, and an infinite arrival gap only ends its trace. (From
+    ``k = 2**52`` up, ``k + 1/2`` rounds to an integer, so ``k = 2**53 - 1``
+    gives exactly 1, and a variate of 0.)
     """
 
     def __init__(self, seed: int, stream_id: int = 0):

@@ -141,12 +141,13 @@ class TestSimulate:
         trace = provenance(tmp_path / "o" / "trace.csv")
         assert (trace["family"], trace["params"], trace["horizon"]) == ("fixed", "times=", "5.0")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_exponential_hold_names_no_family(self, tmp_path, capsys):
-        # -log(u) / 1e-310 overflows to inf: exponential, not Lomax, holding
+        # -log(2**-54) / 1e-310 overflows to inf: exponential, not Lomax, holding,
+        # rejected before any draw with one error line and no numpy warning
         assert main(["simulate", "--holding-rate", "1e-310", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "end_time is infinite" in err and "holding time overflowed" in err
+        assert err.count("\n") == 1 and err.startswith("error: holding law exponential")
+        assert "infinite hold" in err and "2**-54" in err and "1.79769e+308" in err
         assert "lomax" not in err.lower()
 
     def test_floats_round_trip_exactly(self, tmp_path):

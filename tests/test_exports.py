@@ -85,4 +85,15 @@ def test_perfbench_tracer_wraps_every_name_it_looks_for(tmp_path):
             "sweep-rate", "--horizon", "10", "--replications", "1", "--out", str(tmp_path / "out")]
     proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(spans.read_text())["skipped"] == []
+    record = json.loads(spans.read_text())
+    assert record["skipped"] == []
+    # the loss-sweep items_per_s counts arrivals at experiments.generate_trace in
+    # the traced process, so every trace must be drawn there, not in a worker
+    cfg = arrivalab.ExperimentConfig(horizon=10.0, replications=1)
+    arrivals = sum(
+        len(arrivalab.generate_trace("exponential", arrivalab.ExponentialParams(rate), cfg.horizon,
+                                     arrivalab.RngStream(cfg.seed, rep)))
+        for rate in cfg.rates
+        for rep in range(cfg.replications)
+    )
+    assert arrivals > 0 and record["counters"]["arrivals.arrivals"] == arrivals

@@ -19,6 +19,7 @@ from arrivalab import (
     simulate_occupancy,
 )
 from arrivalab.csvio import write_occupancy_csv
+from arrivalab.samplers import SMALLEST_UNIFORM, exponential_from_uniform, lomax_from_uniform
 
 
 class ScriptedStream:
@@ -170,6 +171,23 @@ class TestConfigValidation:
         loc = LocationConfig(2)
         assert loc.holding_params == ExponentialParams(1.0)
 
+    # the largest hold is the inverse transform at the smallest stream uniform,
+    # 2**-54: inf just below each edge, finite (near the float maximum) at it
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "family, rejected, accepted",
+        [
+            ("lomax", ParetoTwoParams(0.0527, 1.0), ParetoTwoParams(0.0528, 1.0)),
+            ("exponential", ExponentialParams(2.08e-307), ExponentialParams(2.09e-307)),
+        ],
+    )
+    def test_holding_law_with_an_infinite_largest_draw(self, family, rejected, accepted):
+        with pytest.raises(ParameterError, match=r"infinite hold.*2\*\*-54.*1\.79769e\+308"):
+            LocationConfig(None, family, rejected)
+        loc = LocationConfig(None, family, accepted)
+        inverse = exponential_from_uniform if family == "exponential" else lomax_from_uniform
+        assert 7e307 < inverse(SMALLEST_UNIFORM, loc.holding_params) < math.inf
+
 
 class TestSeriesValidationAndExport:
     def test_series_rejects_inconsistent_arrays(self):
@@ -190,13 +208,10 @@ class TestSeriesValidationAndExport:
         with pytest.raises(DomainError, match="^series spans no time$"):
             peak_stats(series)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
     def test_peak_stats_names_infinite_end_time(self):
-        # Lomax holding at shape 0.01 draws u ** -100, which overflows to inf
-        trace = generate_trace("exponential", ExponentialParams(1.0), 500.0, RngStream(8, 0))
-        loc = LocationConfig(None, "lomax", ParetoTwoParams(0.01, 1.0))
-        series = simulate_occupancy(trace, loc, RngStream(8, 1))
-        assert series.end_time == math.inf
+        # LocationConfig rejects holds that can be inf, but a finite hold near
+        # the float maximum added to an arrival time can still overflow
+        series = OccupancySeries(np.array([1.0, math.inf]), np.array([1, 0]), 1, 0, math.inf)
         with pytest.raises(DomainError, match="end_time is infinite.*holding time overflowed"):
             peak_stats(series)
 

@@ -123,12 +123,11 @@ def test_matches_seed_loop(capacity, holding, family, seed):
     assert_same_series(got, want)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
 @pytest.mark.parametrize("capacity", [3, None])
 @pytest.mark.parametrize(
     "holding",
     [
-        ParetoTwoParams(0.01, 1.0),  # u ** -100 overflows: some holds are inf
+        ParetoTwoParams(0.0528, 1.0),  # the smallest shape accepted at scale 1: holds reach 7.4e307
         ParetoTwoParams(1e300, 1.0),  # u ** -1e-300 rounds to 1: every hold is 0
     ],
 )
