@@ -4,16 +4,21 @@ Every CSV starts with comment-prefixed provenance lines (``# key=value``),
 then a column-name row, then data rows. Floats are written with 17
 significant digits so a rerun with the same seed is byte-identical and
 round-trips exactly. Every file is UTF-8 with ``\n`` line ends, whatever
-the locale.
+the locale. Bulk rows are formatted on every usable CPU (see ``_write_csv``);
+the bytes written do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from . import experiments
 from .arrivals import ArrivalTrace
 from .experiments import SeriesTable
 from .occupancy import OccupancySeries, blocking_fraction, peak_stats
@@ -45,22 +50,45 @@ def _provenance_lines(provenance: dict[str, str]) -> list[str]:
     return [f"# {key}={value}" for key, value in provenance.items()]
 
 
+def _write_rows(fh, row: str, columns, start: int, stop: int) -> None:
+    """Rows ``start:stop`` of the columns, one ``row * k % values`` and one
+    write per 4096-row chunk, then a flush (a forked worker leaves through
+    ``os._exit``, which flushes nothing)."""
+    width = len(columns)
+    for lo in range(start, stop, _CHUNK_ROWS):
+        parts = [col[lo:min(lo + _CHUNK_ROWS, stop)].tolist() for col in columns]
+        flat = [None] * (width * len(parts[0]))
+        for j, part in enumerate(parts):
+            flat[j::width] = part
+        fh.write(row * len(parts[0]) % tuple(flat))
+    fh.flush()
+
+
 def _write_csv(path, provenance: dict[str, str], header: str, row: str, *columns) -> Path:
     """Provenance lines, ``header``, then one ``row`` %-template per row of the columns.
 
-    Rows go out in chunks of 4096, each one ``%`` over the chunk's interleaved
-    values and one write, so no full-length row list is ever held.
+    The 4096-row chunks are split into contiguous shares of whole chunks, one
+    per worker that ``experiments._fork_map`` runs for that many jobs
+    (``min(chunks, usable CPUs)``, or 1 without ``os.fork``): the caller
+    formats share 0 straight into the file, worker ``w`` formats share ``w``
+    into an unlinked temporary file beside it, and the caller appends those
+    bytes in order. No full-length row list is ever held, and a table of one
+    chunk (every sweep table) forks nothing.
     """
-    path = Path(path)
-    width = len(columns)
-    with path.open("w", **_TEXT) as fh:
+    path, rows = Path(path), len(columns[0])
+    chunks = -(-rows // _CHUNK_ROWS)
+    shares = experiments._map_workers(chunks)
+    ends = [min(s * chunks // shares * _CHUNK_ROWS, rows) for s in range(shares + 1)]
+    with path.open("w", **_TEXT) as fh, contextlib.ExitStack() as stack:
         fh.write("\n".join([*_provenance_lines(provenance), header]) + "\n")
-        for start in range(0, len(columns[0]), _CHUNK_ROWS):
-            parts = [col[start:start + _CHUNK_ROWS].tolist() for col in columns]
-            flat = [None] * (width * len(parts[0]))
-            for j, part in enumerate(parts):
-                flat[j::width] = part
-            fh.write(row * len(parts[0]) % tuple(flat))
+        temps = [stack.enter_context(tempfile.TemporaryFile("w+", dir=path.parent, **_TEXT))
+                 for _ in range(1, shares)]
+        jobs = [(out, row, columns, start, stop) for out, start, stop in zip([fh, *temps], ends, ends[1:])]
+        experiments._fork_map(_write_rows, jobs)
+        fh.flush()
+        for temp in temps:  # already UTF-8: copied as bytes
+            temp.buffer.seek(0)
+            shutil.copyfileobj(temp.buffer, fh.buffer)
     return path
 
 

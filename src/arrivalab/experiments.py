@@ -247,6 +247,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _map_workers(jobs: int) -> int:
+    """The worker count ``_fork_map`` uses for ``jobs`` jobs: one per usable
+    CPU, no more than there are jobs, and one where ``os.fork`` is missing."""
+    return max(1, min(jobs, _usable_cpus())) if hasattr(os, "fork") else 1
+
+
 def _run_share(fn, jobs, start, step):
     """Results of ``jobs[start::step]`` in order, and ``(index, exception)``
     of the first job that raised (which ends the share), or None."""
@@ -273,7 +279,7 @@ def _fork_map(fn, jobs: list):
     Jobs must be independent: a child's writes to shared state stay in the
     child, and only the pickled results come back.
     """
-    workers = max(1, min(len(jobs), _usable_cpus())) if hasattr(os, "fork") else 1
+    workers = _map_workers(len(jobs))
     children = {}  # pid -> read end of its pipe, until it is reaped
     try:
         for w in range(1, workers):

@@ -1,29 +1,49 @@
 """Bulk CSV rows against the per-value formatter, byte for byte.
 
-The writers format rows through one ``%``-template per 4096-row chunk. The
-oracle here is the earlier path: each value through ``format(v, ".17g")``
-(integers through ``str``), one row at a time. Row counts straddle the chunk
-size, and the special values cover the subnormal and normal bounds, the
-largest float, signed zero, infinities, nan and the point where ``%g``
-switches to exponent form (1e16 against 1e17).
+The writers format rows through one ``%``-template per 4096-row chunk, in
+contiguous shares of chunks spread over the usable CPUs. The oracle here is
+the earlier path: each value through ``format(v, ".17g")`` (integers through
+``str``), one row at a time, in one process. Row counts straddle the chunk
+size, and every row test runs with one, two and three workers; the special
+values cover the subnormal and normal bounds, the largest float, signed zero,
+infinities, nan and the point where ``%g`` switches to exponent form (1e16
+against 1e17).
 """
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrivalab import experiments
 from arrivalab.arrivals import ArrivalTrace
 from arrivalab.csvio import _write_csv, write_occupancy_csv, write_table_csv, write_trace_csv
 from arrivalab.experiments import SeriesTable
 from arrivalab.occupancy import OccupancySeries
 
-ROW_COUNTS = (0, 1, 4095, 4096, 4097, 2 * 4096 + 1)
+ROW_COUNTS = (0, 1, 4095, 4096, 4097, 2 * 4096 + 1, 3 * 4096 + 1)
+WORKER_COUNTS = (1, 2, 3)
 
 SPECIAL = (
     np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
     1.7976931348623157e308, 0.1, 1e16, 1e17, -1e17, 1 / 3, 123456789.12345678,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the usable CPU count that the writers split their rows over."""
+    return lambda count: monkeypatch.setattr(experiments, "_usable_cpus", lambda: count)
 
 
 def old_float(v) -> str:
@@ -37,6 +57,18 @@ def data_after(path, header: str) -> str:
     return "\n".join(lines[at + 1:])
 
 
+def written_rows(cpus, write, header: str):
+    """The data rows ``write()`` puts in its file at each worker count, which
+    must leave that file alone in its directory."""
+    rows = set()
+    for count in WORKER_COUNTS:
+        cpus(count)
+        path = write()
+        assert os.listdir(path.parent) == [path.name]
+        rows.add(data_after(path, header))
+    return rows
+
+
 def increasing_times(n: int, seed: int) -> np.ndarray:
     """n strictly increasing positive times, led by the smallest positive floats."""
     rng = np.random.default_rng(seed)
@@ -46,27 +78,27 @@ def increasing_times(n: int, seed: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("n", ROW_COUNTS)
-def test_trace_rows_match_per_value_format(n, tmp_path):
+def test_trace_rows_match_per_value_format(n, tmp_path, cpus):
     times = increasing_times(n, seed=n)
     horizon = float(times[-1]) if n else 1.0
-    path = write_trace_csv(tmp_path / "trace.csv", ArrivalTrace(times, horizon, "fixed"))
+    trace = ArrivalTrace(times, horizon, "fixed")
     expected = "".join(f"{i},{old_float(t)}\n" for i, t in enumerate(times))
-    assert data_after(path, "index,time") == expected
+    assert written_rows(cpus, lambda: write_trace_csv(tmp_path / "trace.csv", trace), "index,time") == {expected}
 
 
 @pytest.mark.parametrize("n", ROW_COUNTS)
-def test_occupancy_rows_match_per_value_format(n, tmp_path):
+def test_occupancy_rows_match_per_value_format(n, tmp_path, cpus):
     breakpoints = np.concatenate([[-0.0], increasing_times(n, seed=n + 1)])[:n]
     counts = np.random.default_rng(n).integers(0, 2**40, size=n)
     end_time = float(breakpoints[-1]) + 1.0 if n else 1.0
     series = OccupancySeries(breakpoints, counts, admitted=n, blocked=0, end_time=end_time)
-    path = write_occupancy_csv(tmp_path / "occupancy.csv", series)
     expected = "".join(f"{old_float(t)},{c}\n" for t, c in zip(breakpoints, counts.tolist()))
-    assert data_after(path, "time,count") == expected
+    rows = written_rows(cpus, lambda: write_occupancy_csv(tmp_path / "occupancy.csv", series), "time,count")
+    assert rows == {expected}
 
 
 @pytest.mark.parametrize("n", ROW_COUNTS[1:])  # a SeriesTable has at least one row
-def test_table_rows_match_per_value_format(n, tmp_path):
+def test_table_rows_match_per_value_format(n, tmp_path, cpus):
     rng = np.random.default_rng(n)
     x = np.arange(n) * 0.1
     columns = {
@@ -75,11 +107,66 @@ def test_table_rows_match_per_value_format(n, tmp_path):
         "random": rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n),
     }
     table = SeriesTable("t", "x", x, columns)
-    path = write_table_csv(tmp_path / "t.csv", table)
     expected = "".join(
         ",".join(old_float(v) for v in row) + "\n" for row in zip(x, *columns.values())
     )
-    assert data_after(path, "x,special,shifted,random") == expected
+    rows = written_rows(cpus, lambda: write_table_csv(tmp_path / "t.csv", table), "x,special,shifted,random")
+    assert rows == {expected}
+
+
+class FailingColumn:
+    """A column whose slices from row ``at`` on call ``fail`` instead."""
+
+    def __init__(self, values, at, fail):
+        self.values, self.at, self.fail = values, at, fail
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, rows):
+        if rows.start >= self.at:
+            self.fail()
+        return self.values[rows]
+
+
+def fail_in_last_chunk(path, fail):
+    """Three chunks of rows, the last failing: mid-share in the second of two
+    workers, and the whole share of the third of three."""
+    column = FailingColumn(np.arange(3 * 4096.0), 2 * 4096, fail)
+    _write_csv(path, {}, "a,b", "%.17g,%.17g\n", column, column)
+
+
+@pytest.mark.parametrize("count", WORKER_COUNTS)
+def test_worker_that_raises_raises_its_exception(count, tmp_path, cpus):
+    cpus(count)
+
+    def fail():
+        raise ValueError("chunk 2 failed")
+
+    with pytest.raises(ValueError, match="^chunk 2 failed$"):
+        fail_in_last_chunk(tmp_path / "t.csv", fail)
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_worker_that_dies_raises_its_status(count, tmp_path, cpus):
+    cpus(count)
+    with pytest.raises(RuntimeError, match="exited with status 3 without sending its results"):
+        fail_in_last_chunk(tmp_path / "t.csv", lambda: os._exit(3))
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
+def test_without_fork_one_share_goes_straight_into_the_file(tmp_path, cpus, monkeypatch):
+    # the share count is the map's own worker count, so where os.fork is
+    # missing the caller formats every chunk into the file, with no temporary file
+    cpus(3)
+    monkeypatch.delattr(os, "fork")
+    made = []
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs: made.append(args))
+    column = np.arange(3 * 4096.0)
+    path = _write_csv(tmp_path / "t.csv", {}, "a", "%.17g\n", column)
+    assert made == []
+    assert data_after(path, "a") == "".join(f"{old_float(v)}\n" for v in column)
 
 
 def test_special_values_are_written_as_format_writes_them(tmp_path):

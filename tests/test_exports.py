@@ -76,17 +76,24 @@ def test_pareto1_params_keep_one_field_and_carry_scale_one():
     assert p != arrivalab.ParetoTwoParams(0.5, 1.0)
 
 
-def test_perfbench_tracer_wraps_every_name_it_looks_for(tmp_path):
-    # the tracer lists each function, method or field it cannot find under
-    # "skipped"; an empty list means no removal has cut off a per-layer metric
+def run_tracer(tmp_path, *cli_args) -> dict:
+    """The spans record of ``perfbench/tracer.py`` over one CLI run writing to
+    ``tmp_path / "out"``. The tracer lists each function, method or field it
+    cannot find under "skipped"; an empty list means no removal has cut off a
+    per-layer metric."""
     spans = tmp_path / "spans.json"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     args = [sys.executable, str(ROOT / "perfbench" / "tracer.py"), "--spans", str(spans), "--",
-            "sweep-rate", "--horizon", "10", "--replications", "1", "--out", str(tmp_path / "out")]
+            *cli_args, "--out", str(tmp_path / "out")]
     proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(spans.read_text())
     assert record["skipped"] == []
+    return record
+
+
+def test_perfbench_tracer_wraps_every_name_it_looks_for(tmp_path):
+    record = run_tracer(tmp_path, "sweep-rate", "--horizon", "10", "--replications", "1")
     # the loss-sweep items_per_s counts arrivals at experiments.generate_trace in
     # the traced process, so every trace must be drawn there, not in a worker
     cfg = arrivalab.ExperimentConfig(horizon=10.0, replications=1)
@@ -97,3 +104,16 @@ def test_perfbench_tracer_wraps_every_name_it_looks_for(tmp_path):
         for rep in range(cfg.replications)
     )
     assert arrivals > 0 and record["counters"]["arrivals.arrivals"] == arrivals
+
+
+def test_perfbench_tracer_counts_every_csv_row_of_simulate(tmp_path):
+    # csvio.rows is counted at the writers' call in the traced process, so it
+    # stays whole when the rows are formatted in forked workers
+    record = run_tracer(tmp_path, "simulate", "--rate", "50", "--horizon", "600")
+    data_rows = {}
+    for name in ("trace.csv", "occupancy.csv"):
+        lines = (tmp_path / "out" / name).read_text().splitlines()
+        data_rows[name] = sum(not line.startswith("#") for line in lines) - 1  # less the header
+    assert min(data_rows.values()) > 4096
+    # plus one row per file the manifest lists
+    assert record["counters"]["csvio.rows"] == sum(data_rows.values()) + 2

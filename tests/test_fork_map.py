@@ -1,5 +1,6 @@
-"""The worker map behind the sweeps and the validation suite: the same outputs,
-results and exceptions for any worker count, and no child left behind."""
+"""The worker map behind the sweeps, the validation suite and the bulk CSV
+writers: the same outputs, results and exceptions for any worker count, and
+no child left behind."""
 
 import json
 import os
@@ -37,12 +38,27 @@ def workers(monkeypatch):
     return use
 
 
+# maps per run, each with more jobs than workers: one per sweep table or KS
+# suite (the sweeps' CSV tables are one chunk each and fork nothing), and one
+# per bulk CSV of simulate (10k trace rows and 10k or 20k occupancy rows, at
+# least three 4096-row chunks each); the default simulate writes under 4096
+# rows per file, so it forks nothing
+MAPS = {
+    "simulate": 0,
+    "sweep-rate-blocking": 1,
+    "sweep-alpha-flags": 1,
+    "validate-ten-alphas": 1,
+    "simulate-long-holds": 2,
+    "simulate-long-holds-lomax-capacity": 2,
+}
+
+
 @pytest.mark.parametrize("count", [1, 2, 3])
-@pytest.mark.parametrize("case", ["sweep-rate-blocking", "sweep-alpha-flags", "validate-ten-alphas"])
+@pytest.mark.parametrize("case", list(MAPS))
 def test_golden_output_for_any_worker_count(case, count, workers, tmp_path):
     forks = workers(count)
     assert run_case(case, tmp_path) == json.loads(DIGESTS.read_text())[case]
-    assert len(forks) == count - 1  # one map per run, each with more jobs than workers
+    assert len(forks) == MAPS[case] * (count - 1)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 8])

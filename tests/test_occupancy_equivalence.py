@@ -140,23 +140,29 @@ def test_matches_seed_loop_at_extreme_holds(capacity, holding):
     )
 
 
-NEAR_ONE = 1.0 - 2.0**-54  # the largest uniform an RngStream can return
+# 1.0 is a uniform an RngStream can return (its largest k rounds up to 2**53)
+# and draws a zero hold; 1 - 2**-53, the largest float below 1, draws a hold
+# of 2**-53 (about 1.1e-16), a genuine sub-ulp hold at both arrivals below
+HOLDLESS_UNIFORMS = (1.0, np.nextafter(1.0, 0.0))
 
 
 @pytest.mark.parametrize("capacity", [1, None])
 @pytest.mark.parametrize("arrival", [1e6, 1.0 - math.log(0.5)])
 def test_departure_at_own_arrival_instant(capacity, arrival):
-    # an exponential hold of about 5.6e-17 vanishes when added to the arrival
-    # time, so the node departs at its own arrival instant, after arriving.
-    # At 1 - ln(0.5) the first node's departure ties the same instant and
-    # must come before the arrival.
+    # the second node's hold vanishes when added to its arrival time, so it
+    # departs at its own arrival instant, after arriving. At 1 - ln(0.5) the
+    # first node's departure ties the same instant and must come before the
+    # arrival.
     trace = fixed_trace([1.0, arrival], horizon=2e6)
     loc = LocationConfig(capacity, "exponential", ExponentialParams(1.0))
-    got = simulate_occupancy(trace, loc, ScriptedStream([0.5, NEAR_ONE]))
-    want = seed_simulate_occupancy(trace, loc, ScriptedStream([0.5, NEAR_ONE]))
-    assert_same_series(got, want)
-    assert got.admitted == 2 and list(got.counts) == [1, 0, 1, 0]
-    assert got.breakpoints[-1] == arrival
+    for u in HOLDLESS_UNIFORMS:
+        hold = -math.log(u)
+        assert (hold > 0.0) == (u < 1.0) and arrival + hold == arrival
+        got = simulate_occupancy(trace, loc, ScriptedStream([0.5, u]))
+        want = seed_simulate_occupancy(trace, loc, ScriptedStream([0.5, u]))
+        assert_same_series(got, want)
+        assert got.admitted == 2 and list(got.counts) == [1, 0, 1, 0]
+        assert got.breakpoints[-1] == arrival
 
 
 @pytest.mark.parametrize("holding", sorted(HOLDINGS))
