@@ -63,7 +63,8 @@ def generate_trace(family: str, params, horizon: float, r: RngStream) -> Arrival
     offset = 0.0
     while True:
         gaps = sampler(r, params, size=_BLOCK)
-        cs = offset + np.cumsum(gaps)
+        with np.errstate(over="ignore"):  # a sum that overflows to inf lies past the horizon
+            cs = offset + np.cumsum(gaps)
         keep = int(np.searchsorted(cs, horizon, side="right"))
         chunks.append(cs[:keep])
         if keep < _BLOCK:

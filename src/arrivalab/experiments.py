@@ -12,7 +12,6 @@ output is the same whatever the CPU count.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import pickle
 import signal
@@ -27,6 +26,7 @@ from .distributions import (
     ParetoOneParams,
     ParetoTwoParams,
     PoissonParams,
+    _positive_finite,
     exp_cdf,
     exp_pdf,
     exp_survival,
@@ -41,14 +41,7 @@ from .distributions import (
     poisson_pmf,
 )
 from .errors import DomainError, ParameterError
-from .occupancy import (
-    HOLDING_FAMILIES,
-    INFINITE_HOLD,
-    LocationConfig,
-    blocking_fraction,
-    peak_stats,
-    simulate_occupancy,
-)
+from .occupancy import INFINITE_HOLD, LocationConfig, blocking_fraction, peak_stats, simulate_occupancy
 from .samplers import (
     RngStream,
     sample_exponential,
@@ -105,12 +98,9 @@ DEFAULT_VALIDATION_CHECK_COUNT = 19
 
 
 def _sorted_unique(name: str, values) -> tuple[float, ...]:
-    vals = tuple(float(v) for v in values)
+    vals = tuple(_positive_finite(f"{name} entries", v) for v in values)
     if not vals:
         raise ParameterError(f"{name} must not be empty")
-    for v in vals:
-        if not math.isfinite(v) or v <= 0:
-            raise ParameterError(f"{name} entries must be positive and finite, got {v!r}")
     return tuple(sorted(set(vals)))
 
 
@@ -143,37 +133,26 @@ class ExperimentConfig:
         object.__setattr__(self, "betas", _sorted_unique("betas", self.betas))
         object.__setattr__(self, "rates", _sorted_unique("rates", self.rates))
         for name in ("exp_rate", "horizon", "x_max", "x_step", "holding_rate"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0:
-                raise ParameterError(f"{name} must be positive and finite, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _positive_finite(name, getattr(self, name)))
         for name, low in (("node_budget", 1), ("replications", 1), ("seed", 0)):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
                 raise ParameterError(f"{name} must be an integer >= {low}, got {v!r}")
             object.__setattr__(self, name, int(v))
-        if self.capacity is not None and (
-            isinstance(self.capacity, bool) or not isinstance(self.capacity, (int, np.integer)) or self.capacity < 1
-        ):
-            raise ParameterError(f"capacity must be a positive integer or None, got {self.capacity!r}")
-        if self.holding_family not in HOLDING_FAMILIES:
-            raise ParameterError(f"unknown holding family {self.holding_family!r}")
         object.__setattr__(self, "overrides", tuple(str(k) for k in self.overrides))
+        self.location()  # LocationConfig checks the capacity and the holding law
 
     def effective_capacity(self) -> int:
         return self.node_budget if self.capacity is None else self.capacity
 
     def location(self) -> LocationConfig:
-        if self.holding_family == INFINITE_HOLD:
-            return LocationConfig(self.effective_capacity(), INFINITE_HOLD)
-        if self.holding_family == "lomax":
-            # holding_rate plays the scale role; shape fixed heavy-ish
-            return LocationConfig(
-                self.effective_capacity(), "lomax", ParetoTwoParams(1.5, 1.0 / self.holding_rate)
-            )
-        return LocationConfig(
-            self.effective_capacity(), "exponential", ExponentialParams(self.holding_rate)
+        # Lomax holding: holding_rate plays the scale role, shape fixed heavy-ish
+        params = (
+            None if self.holding_family == INFINITE_HOLD
+            else ParetoTwoParams(1.5, 1.0 / self.holding_rate) if self.holding_family == "lomax"
+            else ExponentialParams(self.holding_rate)
         )
+        return LocationConfig(self.effective_capacity(), self.holding_family, params)
 
 
 @dataclass(frozen=True)
@@ -212,7 +191,7 @@ def _fmt_list(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
 
-def _base_provenance(cfg: ExperimentConfig, command: str) -> dict[str, str]:
+def _base_provenance(cfg: ExperimentConfig, command: str, **cell: str) -> dict[str, str]:
     prov = {
         "generator": f"arrivalab {__version__}",
         "command": command,
@@ -232,6 +211,7 @@ def _base_provenance(cfg: ExperimentConfig, command: str) -> dict[str, str]:
     }
     if cfg.overrides:
         prov["overrides"] = ",".join(cfg.overrides)
+    prov.update(cell)  # the table's cell and arrival family, where it has them
     return prov
 
 
@@ -351,9 +331,7 @@ def _occupancy_summary(cfg: ExperimentConfig, axis: str, family: str, cells) -> 
         blocks = [b for b in blocks if b is not None]
         block_mean = float(np.mean(blocks)) if blocks else float("nan")
         summaries.append((float(np.mean(peaks)), float(np.mean(means)), block_mean))
-    prov = _base_provenance(cfg, f"sweep-{axis}")
-    prov["cell"] = "occupancy-summary"
-    prov["family"] = family
+    prov = _base_provenance(cfg, f"sweep-{axis}", cell="occupancy-summary", family=family)
     peak_mean, occupancy_mean, blocking_mean = (np.asarray(col) for col in zip(*summaries))
     return SeriesTable(
         f"{axis}_occupancy",
@@ -387,9 +365,7 @@ def run_alpha_sweep(config: ExperimentConfig | None = None) -> list[SeriesTable]
             p2 = ParetoTwoParams(a, b)
             cols[f"lomax_pdf_b{b:g}"] = lomax_pdf(xs, p2)
             cols[f"lomax_survival_b{b:g}"] = lomax_survival(xs, p2)
-        prov = _base_provenance(cfg, "sweep-alpha")
-        prov["cell"] = f"alpha={a:g}"
-        prov["family"] = "pareto1"
+        prov = _base_provenance(cfg, "sweep-alpha", cell=f"alpha={a:g}", family="pareto1")
         tables.append(SeriesTable(f"alpha_{a:g}", "x", xs, cols, prov))
     cells = [(a, ParetoOneParams(a)) for a in cfg.alphas]
     tables.append(_occupancy_summary(cfg, "alpha", "pareto1", cells))
@@ -403,9 +379,7 @@ def run_rate_sweep(config: ExperimentConfig | None = None) -> list[SeriesTable]:
     tables = []
     for r in cfg.rates:
         pp = PoissonParams(r, 1.0)
-        prov = _base_provenance(cfg, "sweep-rate")
-        prov["cell"] = f"rate={r:g}"
-        prov["family"] = "exponential"
+        prov = _base_provenance(cfg, "sweep-rate", cell=f"rate={r:g}", family="exponential")
         tables.append(
             SeriesTable(f"rate_{r:g}", "n", ns, {"poisson_pmf": poisson_pmf(ns, pp)}, prov)
         )
@@ -454,8 +428,7 @@ def run_tail_comparison(config: ExperimentConfig | None = None) -> list[SeriesTa
         )
         pdf_cross.append(float("nan") if xc is None else xc)
         surv_cross.append(float("nan") if sc is None else sc)
-    prov = _base_provenance(cfg, "compare")
-    prov["cell"] = "crossover-summary"
+    prov = _base_provenance(cfg, "compare", cell="crossover-summary")
     summary = SeriesTable(
         "crossover_summary",
         "alpha",

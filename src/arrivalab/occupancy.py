@@ -127,14 +127,20 @@ def simulate_occupancy(trace: ArrivalTrace, loc: LocationConfig, r: RngStream) -
     never more than the arrivals still to come, so ``r`` may be read up to
     one block past the last admission. Each replication's holding stream is
     private, so no output depends on that read-ahead, and a block of Philox
-    draws equals the scalar draws it replaces bit for bit.
+    draws equals the scalar draws it replaces bit for bit. Infinite holding
+    draws none. A departure time that overflows to inf raises ``DomainError``.
     """
-    if loc.capacity is None and loc.holding_family != INFINITE_HOLD:
+    if loc.holding_family == INFINITE_HOLD:  # nothing departs: the first arrivals fill the location
+        admitted = min(len(trace), loc.capacity or len(trace))
+        breakpoints, counts = trace.times[:admitted], np.arange(1, admitted + 1)
+    elif loc.capacity is None:
         breakpoints, counts = _unbounded_steps(trace.times, loc, r)
         admitted = len(trace)
     else:
         breakpoints, counts, admitted = _loss_system_steps(trace.times.tolist(), loc, r)
     end = max(trace.horizon, float(breakpoints[-1])) if len(breakpoints) else trace.horizon
+    if end == math.inf:
+        raise DomainError(f"a departure time overflowed to inf: arrival plus hold exceeds {sys.float_info.max:.6g}")
     return OccupancySeries(
         np.asarray(breakpoints, dtype=float), np.asarray(counts, dtype=np.int64),
         admitted, len(trace) - admitted, float(end),
@@ -142,11 +148,9 @@ def simulate_occupancy(trace: ArrivalTrace, loc: LocationConfig, r: RngStream) -
 
 
 def _loss_system_steps(times: list[float], loc: LocationConfig, r: RngStream):
-    """Event loop for a capacity bound or infinite holding."""
-    infinite = loc.holding_family == INFINITE_HOLD
-    if not infinite:
-        hold_sampler, _ = FAMILIES[loc.holding_family]
-    cap = len(times) if loc.capacity is None else loc.capacity  # unbounded: never reached
+    """Event loop for a capacity bound with finite holding times."""
+    hold_sampler, _ = FAMILIES[loc.holding_family]
+    cap = loc.capacity
     heappush, heappop = heapq.heappush, heapq.heappop
     departures: list[float] = []
     breakpoints: list[float] = []
@@ -165,13 +169,12 @@ def _loss_system_steps(times: list[float], loc: LocationConfig, r: RngStream):
             admitted += 1
             add_time(at)
             add_count(n)
-            if not infinite:
-                if used == len(holds):
-                    size = min(_HOLD_BLOCK, len(times) - i)
-                    holds = hold_sampler(r, loc.holding_params, size=size).tolist()
-                    used = 0
-                heappush(departures, at + holds[used])
-                used += 1
+            if used == len(holds):
+                size = min(_HOLD_BLOCK, len(times) - i)
+                holds = hold_sampler(r, loc.holding_params, size=size).tolist()
+                used = 0
+            heappush(departures, at + holds[used])
+            used += 1
     while departures:
         add_time(heappop(departures))
         n -= 1
@@ -187,7 +190,8 @@ def _unbounded_steps(times: np.ndarray, loc: LocationConfig, r: RngStream):
     event loop would also pop only after admitting that arrival.
     """
     hold_sampler, _ = FAMILIES[loc.holding_family]
-    departures = times + hold_sampler(r, loc.holding_params, size=times.size)
+    with np.errstate(over="ignore"):  # an infinite departure is rejected by the caller
+        departures = times + hold_sampler(r, loc.holding_params, size=times.size)
     own = departures == times
     merged = np.concatenate([departures[~own], times, departures[own]])
     n, k = times.size, int(own.sum())

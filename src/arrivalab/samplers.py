@@ -1,11 +1,11 @@
 """Deterministic, seedable variate generation for every family.
 
 Continuous families are sampled by inverse transform; Poisson counts are
-sampled exactly (product of uniforms for small means, sequential-search
-inversion in log space above). Randomness comes from :class:`RngStream`, a
-counter-based Philox generator keyed by ``(seed, stream_id)``: identical keys
-replay identical sequences bit for bit, distinct stream ids give independent
-streams that can be handed to parallel replications.
+sampled exactly by the product-of-uniforms method, for means up to 30.
+Randomness comes from :class:`RngStream`, a counter-based Philox generator
+keyed by ``(seed, stream_id)``: identical keys replay identical sequences
+bit for bit, distinct stream ids give independent streams that can be
+handed to parallel replications.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ __all__ = [
 ]
 
 _U64_MAX = 2**64
-# mean above which the Poisson sampler switches from product-of-uniforms
-# to sequential-search inversion
+# largest Poisson mean the product-of-uniforms sampler accepts; its cost
+# grows with the mean
 _POISSON_PRODUCT_LIMIT = 30.0
 
 
@@ -125,16 +125,12 @@ FAMILIES = {
 
 
 def sample_poisson_count(r: RngStream, p: PoissonParams, size=None):
-    """Exact Poisson count(s) with mean ``rate * duration``.
-
-    Means up to 30 use the product-of-uniforms method; larger means use
-    inversion by sequential search over the cumulative masses, accumulated
-    through a log-space pmf recurrence so the walk stays finite even when
-    ``exp(-mean)`` underflows. Both branches draw exactly from the count law,
-    so nothing distributional depends on the switch.
+    """Exact Poisson count(s) with mean ``rate * duration``, by the
+    product-of-uniforms method. Means above 30 raise ``ParameterError``.
     """
-    draw = _poisson_product if p.mean <= _POISSON_PRODUCT_LIMIT else _poisson_inverse
-    counts = draw(r, p.mean, 1 if size is None else int(size))
+    if p.mean > _POISSON_PRODUCT_LIMIT:
+        raise ParameterError(f"Poisson mean must not exceed {_POISSON_PRODUCT_LIMIT:g}, got {p.mean!r}")
+    counts = _poisson_product(r, p.mean, 1 if size is None else int(size))
     return int(counts[0]) if size is None else counts
 
 
@@ -151,26 +147,3 @@ def _poisson_product(r: RngStream, m: float, count: int) -> np.ndarray:
         out[active[still]] += 1
         active = active[still]
     return out
-
-
-def _poisson_inverse(r: RngStream, m: float, count: int) -> np.ndarray:
-    u = r.uniform_open(count)
-    umax = float(np.max(u))
-    logm = math.log(m)
-    logp = -m
-    cum = [math.exp(logp)]
-    total = cum[0]
-    k = 0
-    while total < umax:
-        k += 1
-        logp += logm - math.log(k)
-        q = math.exp(logp)
-        total += q
-        cum.append(total)
-        if q == 0.0 and k > m:
-            # tail mass below the float floor; remaining u (< 2**-53 away
-            # from 1) land on the last representable count
-            break
-    table = np.asarray(cum)
-    idx = np.searchsorted(table, u, side="left")
-    return np.minimum(idx, len(cum) - 1).astype(np.int64)

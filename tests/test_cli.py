@@ -150,6 +150,27 @@ class TestSimulate:
         assert "infinite hold" in err and "2**-54" in err and "1.79769e+308" in err
         assert "lomax" not in err.lower()
 
+    @pytest.mark.parametrize("capacity", [[], ["--capacity", "1"]], ids=["unbounded", "capacity-1"])
+    def test_overflowed_departure_time_writes_nothing(self, capacity, tmp_path, capsys):
+        # the hold is finite; only its sum with the arrival time overflows
+        out = tmp_path / "o"
+        args = ["simulate", "--arrivals", "1.797e308", "--holding-rate", "1e-306", *capacity]
+        assert main([*args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: a departure time overflowed to inf")
+        assert not out.exists()
+
+    def test_sweep_rejects_overflowing_holding_law_before_any_write(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["sweep-rate", "--holding-rate", "1e-310", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: holding law exponential")
+        assert not out.exists()
+
+    def test_infinite_arrival_gap_ends_the_trace_without_a_warning(self, tmp_path, capsys):
+        args = ["sweep-rate", "--horizon", "1e308", "--rate", "1e-306", "--holding-rate", "1e-306"]
+        assert main([*args, "--replications", "1", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_floats_round_trip_exactly(self, tmp_path):
         main(["simulate", "--out", str(tmp_path), "--family", "exponential", "--rate", "0.9",
               "--horizon", "20", "--seed", "11"])

@@ -68,6 +68,7 @@ class TestExperimentConfig:
             {"replications": 0},
             {"capacity": 0},
             {"holding_family": "weibull"},
+            {"holding_rate": 1e-310},  # its largest exponential hold overflows to inf
             {"seed": -1},
         ],
     )
