@@ -149,11 +149,13 @@ class TestPoissonSampler:
         tol = 3.0 * math.sqrt(0.9 / 100_000)
         assert abs(float(np.mean(draws)) - 0.9) < tol
 
-    def test_determinism(self):
+    def test_determinism_both_branches(self):
+        # the scalar (size=None) and block returns replay identically
         p = PoissonParams(5.0, 1.0)
-        a = sample_poisson_count(RngStream(5, 1), p, size=512)
-        b = sample_poisson_count(RngStream(5, 1), p, size=512)
-        assert np.array_equal(a, b)
+        for size in (None, 512):
+            a = sample_poisson_count(RngStream(5, 1), p, size=size)
+            b = sample_poisson_count(RngStream(5, 1), p, size=size)
+            assert np.array_equal(a, b)
 
     def test_scalar_draw_is_int(self):
         n = sample_poisson_count(RngStream(6, 0), PoissonParams(3.0, 1.0))
