@@ -22,6 +22,7 @@ from .errors import DomainError, ParameterError
 from .experiments import (
     HOLDING_STREAM_OFFSET,
     ExperimentConfig,
+    _run_provenance,
     run_alpha_sweep,
     run_rate_sweep,
     run_tail_comparison,
@@ -124,27 +125,21 @@ def _prepare_outdir(args) -> Path:
     return out
 
 
-def _run_provenance(command: str, seed: int) -> dict[str, str]:
-    return {"generator": f"arrivalab {__version__}", "command": command, "seed": str(seed)}
-
-
-def _emit_tables(tables, outdir: Path, verbose: bool) -> list[str]:
-    names = []
-    for table in tables:
-        path = write_table_csv(outdir / f"{table.name}.csv", table)
-        names.append(path.name)
-        if verbose:
-            print(f"wrote {path}", file=sys.stderr)
-    return names
+def _finish(args, outdir: Path, paths: list[Path], seed: int) -> None:
+    """The manifest over the written ``paths``, then one ``wrote`` line each under ``--verbose``."""
+    write_manifest(outdir, [p.name for p in paths], _run_provenance(args.command, seed))
+    if args.verbose:
+        for p in paths:
+            print(f"wrote {p}", file=sys.stderr)
 
 
 def _cmd_tables(args) -> int:
     """sweep-alpha, sweep-rate and compare: write the tables of the bound runner."""
     cfg, _ = _resolve(args)
     outdir = _prepare_outdir(args)
-    names = _emit_tables(args.run(cfg), outdir, args.verbose)
-    write_manifest(outdir, names, _run_provenance(args.command, cfg.seed))
-    print(f"{args.command}: {len(names)} tables -> {outdir} (seed {cfg.seed})")
+    paths = [write_table_csv(outdir / f"{table.name}.csv", table) for table in args.run(cfg)]
+    _finish(args, outdir, paths, cfg.seed)
+    print(f"{args.command}: {len(paths)} tables -> {outdir} (seed {cfg.seed})")
     return 0
 
 
@@ -169,10 +164,6 @@ def _cmd_simulate(args) -> int:
         params_desc = f"times={','.join(repr(t) for t in times)}"
     else:
         family = extra.get("family", "exponential")
-        if family not in FAMILIES:
-            raise ParameterError(
-                f"simulate family must be one of {tuple(FAMILIES)} (or pass --arrivals), got {family!r}"
-            )
         if family == "exponential":
             params = ExponentialParams(rate)
             params_desc = f"rate={rate!r}"
@@ -204,10 +195,7 @@ def _cmd_simulate(args) -> int:
         write_trace_csv(outdir / "trace.csv", trace, prov),
         write_occupancy_csv(outdir / "occupancy.csv", series, prov),
     ]
-    write_manifest(outdir, [p.name for p in paths], _run_provenance("simulate", cfg.seed))
-    if args.verbose:
-        for p in paths:
-            print(f"wrote {p}", file=sys.stderr)
+    _finish(args, outdir, paths, cfg.seed)
     total = series.admitted + series.blocked
     frac = series.blocked / total if total else float("nan")
     print(

@@ -24,7 +24,6 @@ from .experiments import SeriesTable
 from .occupancy import OccupancySeries, blocking_fraction, peak_stats
 
 __all__ = [
-    "format_number",
     "write_table_csv",
     "write_trace_csv",
     "write_occupancy_csv",
@@ -32,15 +31,8 @@ __all__ = [
     "sha256_file",
 ]
 
-FLOAT_DIGITS = 17
-
-
-def format_number(v) -> str:
-    return format(float(v), f".{FLOAT_DIGITS}g")
-
-
-# float field of a bulk row; "%.17g" % v and format_number(v) give the same bytes
-_FLOAT = f"%.{FLOAT_DIGITS}g"
+# every float field, in rows and in provenance: 17 significant digits round-trip
+_FLOAT = "%.17g"
 _CHUNK_ROWS = 4096
 # argv bytes that are not UTF-8 arrive as surrogates and are written back unchanged
 _TEXT = {"encoding": "utf-8", "errors": "surrogateescape", "newline": "\n"}
@@ -121,11 +113,11 @@ def write_occupancy_csv(path, series: OccupancySeries, provenance: dict[str, str
     prov = dict(provenance or {})
     prov["admitted"] = str(series.admitted)
     prov["blocked"] = str(series.blocked)
-    prov["end_time"] = format_number(series.end_time)
+    prov["end_time"] = _FLOAT % series.end_time
     prov["peak_count"] = str(ps.peak_count)
-    prov["peak_time"] = format_number(ps.peak_time)
-    prov["mean_occupancy"] = format_number(ps.mean_occupancy)
-    prov["blocking_fraction"] = format_number(blocking_fraction(series)) if total else "nan"
+    prov["peak_time"] = _FLOAT % ps.peak_time
+    prov["mean_occupancy"] = _FLOAT % ps.mean_occupancy
+    prov["blocking_fraction"] = _FLOAT % blocking_fraction(series) if total else "nan"
     return _write_csv(path, prov, "time,count", f"{_FLOAT},%d\n", series.breakpoints, series.counts)
 
 
@@ -133,12 +125,11 @@ def sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_manifest(outdir, filenames, provenance: dict[str, str] | None = None,
-                   name: str = "manifest.txt") -> Path:
-    """Checksum manifest over the written outputs, sorted by filename."""
+def write_manifest(outdir, filenames, provenance: dict[str, str] | None = None) -> Path:
+    """Checksum manifest ``manifest.txt`` over the written outputs, sorted by filename."""
     outdir = Path(outdir)
     lines = _provenance_lines(provenance or {})
     lines += [f"{sha256_file(outdir / fn)}  {fn}" for fn in sorted(filenames)]
-    path = outdir / name
+    path = outdir / "manifest.txt"
     path.write_text("\n".join(lines) + "\n", **_TEXT)
     return path

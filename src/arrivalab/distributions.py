@@ -58,25 +58,22 @@ def _positive_finite(name: str, value) -> float:
     return v
 
 
+def _integer(name: str, value, low: int, high: float = math.inf) -> int:
+    """``value`` as a Python int in ``[low, high)``; a bool is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not low <= value < high:
+        raise ParameterError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PoissonParams:
-    """Arrival rate and observation window of the Poisson count law.
-
-    The count over the window has mean ``rate * duration``.
-    """
+    """Arrival rate of the Poisson count law over a unit window, so the
+    count's mean is ``rate``."""
 
     rate: float
-    duration: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "rate", _positive_finite("rate", self.rate))
-        object.__setattr__(self, "duration", _positive_finite("duration", self.duration))
-        if not math.isfinite(self.rate * self.duration):
-            raise ParameterError("rate * duration must be finite")
-
-    @property
-    def mean(self) -> float:
-        return self.rate * self.duration
 
 
 @dataclass(frozen=True)
@@ -118,12 +115,11 @@ class ParetoTwoParams:
         object.__setattr__(self, "scale", _positive_finite("scale", self.scale))
 
 
-def _as_support(x, what: str, minimum: float = 0.0, strict: bool = False) -> np.ndarray:
+def _as_support(x, what: str, strict: bool = False) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    bad = (arr <= minimum) if strict else (arr < minimum)
+    bad = (arr <= 0.0) if strict else (arr < 0.0)
     if np.any(bad) or np.any(~np.isfinite(arr)):
-        op = ">" if strict else ">="
-        raise DomainError(f"{what} requires finite x {op} {minimum:g}")
+        raise DomainError(f"{what} requires finite x {'>' if strict else '>='} 0")
     return arr
 
 
@@ -178,11 +174,11 @@ def _lgamma_integer(x: float) -> float:
 def poisson_pmf(n, p: PoissonParams):
     """Probability of exactly ``n`` arrivals over the window.
 
-    ``(m^n e^-m) / n!`` with ``m = rate * duration``, evaluated via
+    ``(m^n e^-m) / n!`` with ``m = rate``, evaluated via
     ``exp(n log m - m - lgamma(n + 1))``.
     """
     k = _as_count(n)
-    m = p.mean
+    m = p.rate
     log_fact = np.fromiter(map(_lgamma_integer, (k + 1.0).ravel().tolist()), float, k.size)
     return _like(n, np.exp(k * math.log(m) - m - log_fact.reshape(k.shape)))
 
@@ -278,14 +274,14 @@ pareto1_cdf, pareto1_pdf, pareto1_survival = lomax_cdf, lomax_pdf, lomax_surviva
 # --- normal approximation to the Poisson pmf ---------------------------------
 
 def normal_approx_pmf(n, p: PoissonParams):
-    """Normal mass on [n - 1/2, n + 1/2] with mean and variance ``rate * duration``.
+    """Normal mass on [n - 1/2, n + 1/2] with mean and variance ``rate``.
 
     The continuity-corrected approximation the Poisson pmf approaches as its
     mean grows; poor for small means, which is what makes the comparison
     interesting.
     """
     k = _as_count(n)
-    m = p.mean
+    m = p.rate
     s = math.sqrt(m)
     return _like(n, _normal_cdf((k + 0.5 - m) / s) - _normal_cdf((k - 0.5 - m) / s))
 

@@ -26,6 +26,7 @@ from .distributions import (
     ParetoOneParams,
     ParetoTwoParams,
     PoissonParams,
+    _integer,
     _positive_finite,
     exp_cdf,
     exp_pdf,
@@ -135,10 +136,7 @@ class ExperimentConfig:
         for name in ("exp_rate", "horizon", "x_max", "x_step", "holding_rate"):
             object.__setattr__(self, name, _positive_finite(name, getattr(self, name)))
         for name, low in (("node_budget", 1), ("replications", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
-                raise ParameterError(f"{name} must be an integer >= {low}, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         object.__setattr__(self, "overrides", tuple(str(k) for k in self.overrides))
         self.location()  # LocationConfig checks the capacity and the holding law
 
@@ -191,11 +189,14 @@ def _fmt_list(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
 
+def _run_provenance(command: str, seed: int) -> dict[str, str]:
+    """The ``generator``, ``command`` and ``seed`` lines every output starts with."""
+    return {"generator": f"arrivalab {__version__}", "command": command, "seed": str(seed)}
+
+
 def _base_provenance(cfg: ExperimentConfig, command: str, **cell: str) -> dict[str, str]:
     prov = {
-        "generator": f"arrivalab {__version__}",
-        "command": command,
-        "seed": str(cfg.seed),
+        **_run_provenance(command, cfg.seed),
         "alphas": _fmt_list(cfg.alphas),
         "betas": _fmt_list(cfg.betas),
         "rates": _fmt_list(cfg.rates),
@@ -378,7 +379,7 @@ def run_rate_sweep(config: ExperimentConfig | None = None) -> list[SeriesTable]:
     ns = np.arange(0, cfg.node_budget + 1, dtype=float)
     tables = []
     for r in cfg.rates:
-        pp = PoissonParams(r, 1.0)
+        pp = PoissonParams(r)
         prov = _base_provenance(cfg, "sweep-rate", cell=f"rate={r:g}", family="exponential")
         tables.append(
             SeriesTable(f"rate_{r:g}", "n", ns, {"poisson_pmf": poisson_pmf(ns, pp)}, prov)
@@ -541,7 +542,7 @@ def run_validation_suite(config: ExperimentConfig | None = None) -> ValidationRe
     checks = _fork_map(_ks_repetition_check, [(cfg, name, next(blocks), *cell) for name, *cell in ks_cells])
 
     for m in POISSON_MOMENT_MEANS:
-        draws = sample_poisson_count(_stream(cfg, next(blocks)), PoissonParams(m, 1.0), size=MOMENT_SAMPLE_SIZE)
+        draws = sample_poisson_count(_stream(cfg, next(blocks)), PoissonParams(m), size=MOMENT_SAMPLE_SIZE)
         mean_err = abs(float(np.mean(draws)) - m) / m
         var_err = abs(float(np.var(draws)) - m) / m
         checks.append(_check(f"poisson-mean-m{m:g}", mean_err, MOMENT_RTOL, mean_err < MOMENT_RTOL))
@@ -564,7 +565,7 @@ def run_validation_suite(config: ExperimentConfig | None = None) -> ValidationRe
     status = "expected-mismatch" if worst > MISMATCH_MIN_REL else "fail"
     checks.append(ValidationCheck("pareto2-shifted-powerlaw-mismatch", worst, MISMATCH_MIN_REL, status))
 
-    errors = [normal_approx_error(PoissonParams(m, 1.0)) for m in NORMAL_ERROR_MEANS]
+    errors = [normal_approx_error(PoissonParams(m)) for m in NORMAL_ERROR_MEANS]
     violations = sum(1 for later, earlier in zip(errors[1:], errors[:-1]) if not later < earlier)
     checks.append(_check("normal-approx-monotone", float(violations), 0.0, violations == 0))
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrivals import ArrivalTrace
+from .distributions import _integer
 from .errors import DomainError, ParameterError
 from .samplers import FAMILIES, SMALLEST_UNIFORM, RngStream, exponential_from_uniform, lomax_from_uniform
 
@@ -50,10 +51,7 @@ class LocationConfig:
 
     def __post_init__(self):
         if self.capacity is not None:
-            cap = self.capacity
-            if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
-                raise ParameterError(f"capacity must be a positive integer or None, got {cap!r}")
-            object.__setattr__(self, "capacity", int(cap))
+            object.__setattr__(self, "capacity", _integer("capacity", self.capacity, 1))
         fam = self.holding_family
         if fam == INFINITE_HOLD:
             if self.holding_params is not None:
@@ -81,7 +79,8 @@ class OccupancySeries:
     """Step-function node count: breakpoints, counts after each event, totals.
 
     ``end_time`` is the later of the driving horizon and the final event, so
-    time averages cover the whole observed span.
+    time averages cover the whole observed span. A series is built only with
+    a positive, finite ``end_time`` at or after its last breakpoint.
     """
 
     breakpoints: np.ndarray
@@ -103,6 +102,12 @@ class OccupancySeries:
             raise DomainError("breakpoints must be nondecreasing")
         if np.any(ct < 0):
             raise DomainError("counts must be nonnegative")
+        if self.end_time == math.inf:
+            raise DomainError(f"a departure time overflowed to inf: arrival plus hold exceeds {sys.float_info.max:.6g}")
+        if not (math.isfinite(self.end_time) and self.end_time > 0):
+            raise DomainError("series spans no time")
+        if bp.size and self.end_time < bp[-1]:
+            raise DomainError("series end_time precedes its last breakpoint")
 
     @property
     def departed(self) -> int:
@@ -128,7 +133,8 @@ def simulate_occupancy(trace: ArrivalTrace, loc: LocationConfig, r: RngStream) -
     one block past the last admission. Each replication's holding stream is
     private, so no output depends on that read-ahead, and a block of Philox
     draws equals the scalar draws it replaces bit for bit. Infinite holding
-    draws none. A departure time that overflows to inf raises ``DomainError``.
+    draws none. A departure time that overflows to inf raises ``DomainError``
+    (the series rejects an infinite ``end_time``).
     """
     if loc.holding_family == INFINITE_HOLD:  # nothing departs: the first arrivals fill the location
         admitted = min(len(trace), loc.capacity or len(trace))
@@ -139,8 +145,6 @@ def simulate_occupancy(trace: ArrivalTrace, loc: LocationConfig, r: RngStream) -
     else:
         breakpoints, counts, admitted = _loss_system_steps(trace.times.tolist(), loc, r)
     end = max(trace.horizon, float(breakpoints[-1])) if len(breakpoints) else trace.horizon
-    if end == math.inf:
-        raise DomainError(f"a departure time overflowed to inf: arrival plus hold exceeds {sys.float_info.max:.6g}")
     return OccupancySeries(
         np.asarray(breakpoints, dtype=float), np.asarray(counts, dtype=np.int64),
         admitted, len(trace) - admitted, float(end),
@@ -190,7 +194,7 @@ def _unbounded_steps(times: np.ndarray, loc: LocationConfig, r: RngStream):
     event loop would also pop only after admitting that arrival.
     """
     hold_sampler, _ = FAMILIES[loc.holding_family]
-    with np.errstate(over="ignore"):  # an infinite departure is rejected by the caller
+    with np.errstate(over="ignore"):  # an infinite departure is rejected by OccupancySeries
         departures = times + hold_sampler(r, loc.holding_params, size=times.size)
     own = departures == times
     merged = np.concatenate([departures[~own], times, departures[own]])
@@ -201,14 +205,8 @@ def _unbounded_steps(times: np.ndarray, loc: LocationConfig, r: RngStream):
 
 
 def peak_stats(s: OccupancySeries) -> PeakStats:
-    """Peak count, the earliest time it is attained, and the time-weighted mean."""
-    if s.end_time == np.inf:
-        raise DomainError(
-            "series end_time is infinite: a holding time overflowed to inf, "
-            "so there is no finite span to average over"
-        )
-    if not (np.isfinite(s.end_time) and s.end_time > 0):
-        raise DomainError("series spans no time")
+    """Peak count, the earliest time it is attained, and the time-weighted mean
+    over ``(0, end_time]``, a positive span that the series checked when built."""
     if s.counts.size == 0:
         return PeakStats(0, 0.0, 0.0)
     peak_idx = int(np.argmax(s.counts))
@@ -216,7 +214,7 @@ def peak_stats(s: OccupancySeries) -> PeakStats:
     peak_time = float(s.breakpoints[peak_idx]) if peak > 0 else 0.0
     # integrate the step function: level counts[i] holds on [bp[i], bp[i+1]),
     # zero before the first event, last level runs out to end_time
-    edges = np.concatenate([s.breakpoints, [max(s.end_time, s.breakpoints[-1])]])
+    edges = np.concatenate([s.breakpoints, [s.end_time]])
     area = float(np.sum(s.counts * np.diff(edges)))
     return PeakStats(peak, peak_time, area / s.end_time)
 

@@ -19,6 +19,7 @@ from .distributions import (
     ParetoOneParams,
     ParetoTwoParams,
     PoissonParams,
+    _integer,
 )
 from .errors import ParameterError
 
@@ -58,11 +59,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        for name, value in (("seed", seed), ("stream_id", stream_id)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value < _U64_MAX:
-                raise ParameterError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
+        self.seed = _integer("seed", seed, 0, _U64_MAX)
+        self.stream_id = _integer("stream_id", stream_id, 0, _U64_MAX)
         key = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self._gen = np.random.Generator(np.random.Philox(key))
 
@@ -125,12 +123,12 @@ FAMILIES = {
 
 
 def sample_poisson_count(r: RngStream, p: PoissonParams, size=None):
-    """Exact Poisson count(s) with mean ``rate * duration``, by the
+    """Exact Poisson count(s) with mean ``rate``, by the
     product-of-uniforms method. Means above 30 raise ``ParameterError``.
     """
-    if p.mean > _POISSON_PRODUCT_LIMIT:
-        raise ParameterError(f"Poisson mean must not exceed {_POISSON_PRODUCT_LIMIT:g}, got {p.mean!r}")
-    counts = _poisson_product(r, p.mean, 1 if size is None else int(size))
+    if p.rate > _POISSON_PRODUCT_LIMIT:
+        raise ParameterError(f"Poisson mean must not exceed {_POISSON_PRODUCT_LIMIT:g}, got {p.rate!r}")
+    counts = _poisson_product(r, p.rate, 1 if size is None else int(size))
     return int(counts[0]) if size is None else counts
 
 

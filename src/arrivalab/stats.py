@@ -109,6 +109,6 @@ def crossover_point(f, g, lo: float, hi: float, grid: int = 2048, tol: float = 1
 def normal_approx_error(p: PoissonParams) -> float:
     """Largest pointwise gap between the Poisson pmf and its normal-mass
     approximation over counts up to mean + 10 standard deviations."""
-    m = p.mean
+    m = p.rate
     ns = np.arange(0, int(math.ceil(m + 10.0 * math.sqrt(m))) + 1)
     return float(np.max(np.abs(poisson_pmf(ns, p) - normal_approx_pmf(ns, p))))

@@ -87,7 +87,7 @@ def test_criterion_3_two_parameter_dominance():
 
 def test_criterion_4_rate_impact():
     ns = np.arange(0, 21)
-    modes = [int(np.argmax(poisson_pmf(ns, PoissonParams(r, 1.0)))) for r in RATES]
+    modes = [int(np.argmax(poisson_pmf(ns, PoissonParams(r)))) for r in RATES]
     mode_ok = modes == sorted(modes)
 
     loc = LocationConfig(20, "exponential", ExponentialParams(1.0))
@@ -107,7 +107,7 @@ def test_criterion_4_rate_impact():
 
 
 def test_criterion_5_normal_convergence():
-    errors = [normal_approx_error(PoissonParams(m, 1.0)) for m in (1.0, 5.0, 10.0, 50.0, 100.0)]
+    errors = [normal_approx_error(PoissonParams(m)) for m in (1.0, 5.0, 10.0, 50.0, 100.0)]
     ok = all(b < a for a, b in zip(errors, errors[1:]))
     report(5, "normal-approximation error strictly decreasing over means 1..100", ok)
 
@@ -129,7 +129,7 @@ def test_criterion_6_sampler_fidelity():
     for a, b in KS_LOMAX_CELLS:
         ok = ok and _ks_pass_count(sample_lomax, ParetoTwoParams(a, b), lomax_cdf, 102) >= 95
     for m in (0.3, 0.9, 5.0):
-        draws = sample_poisson_count(RngStream(2024, 103), PoissonParams(m, 1.0), size=100_000)
+        draws = sample_poisson_count(RngStream(2024, 103), PoissonParams(m), size=100_000)
         ok = ok and abs(float(np.mean(draws)) - m) / m < 0.05
         ok = ok and abs(float(np.var(draws)) - m) / m < 0.05
     report(6, "KS fidelity >= 95/100 seeds per family; count moments within 5%", ok)

@@ -96,7 +96,7 @@ class TestPoissonCountLaw:
     def test_unit_window_counts_match_poisson_law(self):
         # chi-square over bins {0,1,2,>=3} against the analytic pmf, per seed
         rate = 0.9
-        p = PoissonParams(rate, 1.0)
+        p = PoissonParams(rate)
         probs = [poisson_pmf(k, p) for k in range(3)]
         probs.append(1.0 - sum(probs))
         n_windows = 1000

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ from scipy.special import gammaln, ndtr
 from arrivalab import (
     DEFAULT_SHAPE_SWEEP,
     DomainError,
+    ExperimentConfig,
     ExponentialParams,
+    LocationConfig,
     ParameterError,
     ParetoOneParams,
     ParetoTwoParams,
     PoissonParams,
+    RngStream,
     exp_cdf,
     exp_pdf,
     exp_survival,
@@ -32,45 +36,71 @@ from arrivalab.distributions import _lgamma_integer
 from arrivalab.experiments import NORMAL_ERROR_MEANS
 
 
+# every integer parameter: (build from one value, field it is stored in, low, high)
+INTEGER_FIELDS = [
+    (RngStream, "seed", 0, 2**64),
+    (lambda v: RngStream(0, v), "stream_id", 0, 2**64),
+    (LocationConfig, "capacity", 1, math.inf),
+    (lambda v: ExperimentConfig(node_budget=v), "node_budget", 1, math.inf),
+    (lambda v: ExperimentConfig(replications=v), "replications", 1, math.inf),
+    (lambda v: ExperimentConfig(seed=v), "seed", 0, math.inf),
+]
+
+
+@pytest.mark.parametrize(
+    "build,name,low,high", INTEGER_FIELDS,
+    ids=["RngStream.seed", "RngStream.stream_id", "LocationConfig.capacity",
+         "ExperimentConfig.node_budget", "ExperimentConfig.replications", "ExperimentConfig.seed"],
+)
+def test_integer_parameters_share_one_check(build, name, low, high):
+    # below the range, a float, a bool (an int subclass), and the top bound where there is one
+    for bad in [low - 1, 1.0 * low, True] + ([high] if high < math.inf else []):
+        want = f"{name} must be an integer in [{low}, {high}), got {bad!r}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(want)}$"):
+            build(bad)
+    value = getattr(build(np.int64(low + 1)), name)
+    assert type(value) is int and value == low + 1
+
+
 def central_difference(f, x, h=1e-5):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 class TestPoissonPmf:
     def test_zero_count_mean_one(self):
-        # (m^0 e^-m) / 0! = e^-1 at m = 0.5 * 2
-        assert poisson_pmf(0, PoissonParams(0.5, 2.0)) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        # (m^0 e^-m) / 0! = e^-1 at m = 1
+        assert poisson_pmf(0, PoissonParams(1.0)) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_two_counts_unit_mean(self):
-        assert poisson_pmf(2, PoissonParams(1.0, 1.0)) == pytest.approx(math.exp(-1.0) / 2.0, rel=1e-14)
+        assert poisson_pmf(2, PoissonParams(1.0)) == pytest.approx(math.exp(-1.0) / 2.0, rel=1e-14)
 
     def test_mass_sums_to_one(self):
-        total = float(np.sum(poisson_pmf(np.arange(201), PoissonParams(0.9, 1.0))))
+        total = float(np.sum(poisson_pmf(np.arange(201), PoissonParams(0.9))))
         assert abs(total - 1.0) < 1e-12
 
     @pytest.mark.parametrize("mean", [0.3, 0.9, 5.0, 100.0])
     def test_normalization_across_means(self, mean):
         top = int(max(200, 10 * mean))
-        total = float(np.sum(poisson_pmf(np.arange(top + 1), PoissonParams(mean, 1.0))))
+        total = float(np.sum(poisson_pmf(np.arange(top + 1), PoissonParams(mean))))
         assert abs(total - 1.0) < 1e-10
 
     def test_large_mean_stays_finite(self):
         # log-space evaluation: huge means must not overflow
-        p = PoissonParams(1e4, 1.0)
+        p = PoissonParams(1e4)
         val = poisson_pmf(10_000, p)
         assert 0.0 < val < 1.0
 
     def test_rejects_negative_and_fractional_counts(self):
-        p = PoissonParams(1.0, 1.0)
+        p = PoissonParams(1.0)
         with pytest.raises(DomainError):
             poisson_pmf(-1, p)
         with pytest.raises(DomainError):
             poisson_pmf(1.5, p)
 
-    @pytest.mark.parametrize("rate,duration", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (math.inf, 1.0), (math.nan, 1.0)])
-    def test_rejects_bad_params(self, rate, duration):
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_params(self, rate):
         with pytest.raises(ParameterError):
-            PoissonParams(rate, duration)
+            PoissonParams(rate)
 
 
 class TestExponential:
@@ -193,25 +223,25 @@ class TestLomax:
 
 class TestNormalApproximation:
     def test_close_at_large_mean(self):
-        p = PoissonParams(100.0, 1.0)
+        p = PoissonParams(100.0)
         exact = poisson_pmf(100, p)
         approx = normal_approx_pmf(100, p)
         assert abs(approx - exact) / exact < 0.02
 
     def test_poor_at_small_mean(self):
-        p = PoissonParams(1.0, 1.0)
+        p = PoissonParams(1.0)
         exact = poisson_pmf(0, p)
         approx = normal_approx_pmf(0, p)
         assert abs(approx - exact) / exact > 0.05
 
     def test_total_mass_at_large_mean(self):
-        p = PoissonParams(100.0, 1.0)
+        p = PoissonParams(100.0)
         total = float(np.sum(normal_approx_pmf(np.arange(0, 1001), p)))
         assert abs(total - 1.0) < 1e-3
 
     def test_error_shrinks_with_mean(self):
         def worst(mean):
-            p = PoissonParams(mean, 1.0)
+            p = PoissonParams(mean)
             ns = np.arange(0, int(mean + 10 * math.sqrt(mean)) + 1)
             return float(np.max(np.abs(poisson_pmf(ns, p) - normal_approx_pmf(ns, p))))
 
@@ -233,11 +263,11 @@ class TestNormalCdfMatchesScipy:
     @pytest.mark.parametrize("mean", [0.05, 0.3, 1.0, 2.5, 5.0, 10.0, 50.0, 100.0, 1e3, 1e4])
     def test_pmf_matches_ndtr_form(self, mean):
         k = np.arange(int(mean + 12 * math.sqrt(mean)) + 1, dtype=float)
-        got = normal_approx_pmf(k, PoissonParams(mean, 1.0))
+        got = normal_approx_pmf(k, PoissonParams(mean))
         np.testing.assert_allclose(got, ndtr_mass(k, mean), rtol=0, atol=1e-15)
 
     def test_keeps_kind_and_shape(self):
-        p = PoissonParams(2.5, 1.0)
+        p = PoissonParams(2.5)
         k = np.arange(12, dtype=float).reshape(3, 4)
         got = normal_approx_pmf(k, p)
         assert got.shape == (3, 4)
@@ -248,10 +278,10 @@ class TestNormalCdfMatchesScipy:
             assert value == pytest.approx(float(ndtr_mass(3.0, 2.5)), rel=0, abs=1e-15)
 
     def test_suite_errors_match_and_decrease(self):
-        errors = [normal_approx_error(PoissonParams(m, 1.0)) for m in NORMAL_ERROR_MEANS]
+        errors = [normal_approx_error(PoissonParams(m)) for m in NORMAL_ERROR_MEANS]
         for mean, got in zip(NORMAL_ERROR_MEANS, errors):
             k = np.arange(int(math.ceil(mean + 10 * math.sqrt(mean))) + 1, dtype=float)
-            want = float(np.max(np.abs(poisson_pmf(k, PoissonParams(mean, 1.0)) - ndtr_mass(k, mean))))
+            want = float(np.max(np.abs(poisson_pmf(k, PoissonParams(mean)) - ndtr_mass(k, mean))))
             assert abs(got - want) <= 1e-15
         assert all(a > b for a, b in zip(errors, errors[1:]))
 
@@ -334,7 +364,7 @@ class TestArrayScalarParity:
 
     def test_scalar_returns_python_float(self):
         assert isinstance(exp_cdf(1.0, ExponentialParams(1.0)), float)
-        assert isinstance(poisson_pmf(3, PoissonParams(1.0, 1.0)), float)
+        assert isinstance(poisson_pmf(3, PoissonParams(1.0)), float)
 
 
 def same_bits(got, want):
@@ -366,7 +396,7 @@ class TestLogFactorialMatchesScipy:
 
     @pytest.mark.parametrize("mean", [0.3, 0.9, 5.0, 100.0, 1e4])
     def test_poisson_pmf_matches_gammaln_form(self, mean):
-        p = PoissonParams(mean, 1.0)
+        p = PoissonParams(mean)
         k = np.arange(2 * int(mean + 10 * math.sqrt(mean) + 10), dtype=float)
         want = np.exp(k * math.log(mean) - mean - gammaln(k + 1.0))
         assert same_bits(poisson_pmf(k, p), want)

@@ -141,7 +141,7 @@ class TestRateSweep:
         for rate in DEFAULT_RATE_SWEEP:
             col = table_by_name(tables, f"rate_{rate:g}").columns["poisson_pmf"]
             assert float(np.sum(col)) <= 1.0
-            extended = float(np.sum(poisson_pmf(np.arange(201), PoissonParams(rate, 1.0))))
+            extended = float(np.sum(poisson_pmf(np.arange(201), PoissonParams(rate))))
             assert abs(extended - 1.0) < 1e-6
 
     def test_pmf_mode_nondecreasing_in_rate(self):

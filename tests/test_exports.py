@@ -1,12 +1,15 @@
 """The package export list: each module's ``__all__``, once, all resolvable, and every
 name the benchmark tracer wraps still present."""
 
+import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import arrivalab
 
@@ -117,3 +120,36 @@ def test_perfbench_tracer_counts_every_csv_row_of_simulate(tmp_path):
     assert min(data_rows.values()) > 4096
     # plus one row per file the manifest lists
     assert record["counters"]["csvio.rows"] == sum(data_rows.values()) + 2
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but neither reads nor lists in ``__all__``
+    (``from __future__`` imports are directives, not names)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
+
+
+def test_unused_imports_finds_a_dead_name():
+    source = "from __future__ import annotations\nimport os\nimport sys\nfrom math import pi, tau\n"
+    source += "__all__ = ['tau']\nprint(sys.argv)\n"
+    assert unused_imports(source) == ["line 2: os", "line 4: pi"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in (ROOT / "src" / "arrivalab").glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_no_module_imports_a_name_it_does_not_use(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

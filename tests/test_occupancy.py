@@ -198,22 +198,33 @@ class TestSeriesValidationAndExport:
         with pytest.raises(DomainError):
             OccupancySeries(np.array([1.0]), np.array([-1]), 0, 0, 5.0)
 
+    # peak_stats averages over (0, end_time]; a series with no such span, or
+    # one that ends before its last event, is refused when it is built
+
     def test_peak_stats_rejects_zero_span(self):
-        series = OccupancySeries(np.array([]), np.array([], dtype=np.int64), 0, 0, 0.0)
         with pytest.raises(DomainError):
-            peak_stats(series)
+            OccupancySeries(np.array([]), np.array([], dtype=np.int64), 0, 0, 0.0)
+
+    @pytest.mark.parametrize("end_time", [-1.0, -math.inf, math.nan])
+    def test_series_rejects_a_span_of_no_time(self, end_time):
+        with pytest.raises(DomainError, match="^series spans no time$"):
+            OccupancySeries(np.array([]), np.array([], dtype=np.int64), 0, 0, end_time)
 
     def test_peak_stats_zero_span_message(self):
-        series = OccupancySeries(np.array([1.0]), np.array([1], dtype=np.int64), 1, 0, 0.0)
         with pytest.raises(DomainError, match="^series spans no time$"):
-            peak_stats(series)
+            OccupancySeries(np.array([1.0]), np.array([1], dtype=np.int64), 1, 0, 0.0)
 
     def test_peak_stats_names_infinite_end_time(self):
         # LocationConfig rejects holds that can be inf, but a finite hold near
         # the float maximum added to an arrival time can still overflow
-        series = OccupancySeries(np.array([1.0, math.inf]), np.array([1, 0]), 1, 0, math.inf)
-        with pytest.raises(DomainError, match="end_time is infinite.*holding time overflowed"):
-            peak_stats(series)
+        with pytest.raises(DomainError, match=r"^a departure time overflowed to inf: .* exceeds 1\.79769e\+308$"):
+            OccupancySeries(np.array([1.0, math.inf]), np.array([1, 0]), 1, 0, math.inf)
+
+    def test_series_rejects_end_time_before_last_breakpoint(self):
+        with pytest.raises(DomainError, match="end_time precedes its last breakpoint"):
+            OccupancySeries(np.array([1.0, 3.0]), np.array([1, 0]), 1, 0, 2.0)
+        series = OccupancySeries(np.array([1.0, 3.0]), np.array([1, 0]), 1, 0, 3.0)
+        assert peak_stats(series).mean_occupancy == pytest.approx(2.0 / 3.0)
 
     def test_csv_export(self, tmp_path):
         trace = fixed_trace([1.0, 2.0], horizon=3.0)

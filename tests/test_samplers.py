@@ -135,40 +135,40 @@ class TestContinuousSamplers:
 
 class TestPoissonSampler:
     def test_tiny_mean_returns_zero(self):
-        draws = sample_poisson_count(RngStream(1, 0), PoissonParams(1e-9, 1.0), size=10_000)
+        draws = sample_poisson_count(RngStream(1, 0), PoissonParams(1e-9), size=10_000)
         assert np.all(draws == 0)
 
     @pytest.mark.parametrize("mean", [0.3, 0.9, 5.0])
     def test_moments_product_branch(self, mean):
-        draws = sample_poisson_count(RngStream(2, 0), PoissonParams(mean, 1.0), size=100_000)
+        draws = sample_poisson_count(RngStream(2, 0), PoissonParams(mean), size=100_000)
         assert abs(float(np.mean(draws)) - mean) / mean < 0.05
         assert abs(float(np.var(draws)) - mean) / mean < 0.05
 
     def test_mean_within_three_sigma(self):
-        draws = sample_poisson_count(RngStream(4, 0), PoissonParams(0.9, 1.0), size=100_000)
+        draws = sample_poisson_count(RngStream(4, 0), PoissonParams(0.9), size=100_000)
         tol = 3.0 * math.sqrt(0.9 / 100_000)
         assert abs(float(np.mean(draws)) - 0.9) < tol
 
     def test_determinism_both_branches(self):
         # the scalar (size=None) and block returns replay identically
-        p = PoissonParams(5.0, 1.0)
+        p = PoissonParams(5.0)
         for size in (None, 512):
             a = sample_poisson_count(RngStream(5, 1), p, size=size)
             b = sample_poisson_count(RngStream(5, 1), p, size=size)
             assert np.array_equal(a, b)
 
     def test_scalar_draw_is_int(self):
-        n = sample_poisson_count(RngStream(6, 0), PoissonParams(3.0, 1.0))
+        n = sample_poisson_count(RngStream(6, 0), PoissonParams(3.0))
         assert isinstance(n, int)
         assert n >= 0
 
     @pytest.mark.parametrize("mean", [30.5, 800.0])
     def test_mean_above_thirty_is_rejected(self, mean):
         with pytest.raises(ParameterError, match=r"must not exceed 30\b"):
-            sample_poisson_count(RngStream(7, 0), PoissonParams(mean, 1.0), size=200)
+            sample_poisson_count(RngStream(7, 0), PoissonParams(mean), size=200)
 
     def test_mean_thirty_still_samples(self):
-        draws = sample_poisson_count(RngStream(7, 0), PoissonParams(30.0, 1.0), size=200)
+        draws = sample_poisson_count(RngStream(7, 0), PoissonParams(30.0), size=200)
         assert abs(float(np.mean(draws)) - 30.0) < 5 * math.sqrt(30.0 / 200)
 
 

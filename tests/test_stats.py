@@ -162,11 +162,11 @@ class TestCrossoverPoint:
 
 class TestNormalApproxError:
     def test_smaller_at_larger_mean(self):
-        e1 = normal_approx_error(PoissonParams(1.0, 1.0))
-        e10 = normal_approx_error(PoissonParams(10.0, 1.0))
-        e100 = normal_approx_error(PoissonParams(100.0, 1.0))
+        e1 = normal_approx_error(PoissonParams(1.0))
+        e10 = normal_approx_error(PoissonParams(10.0))
+        e100 = normal_approx_error(PoissonParams(100.0))
         assert e1 > e10 > e100
 
     def test_monotone_decrease_over_grid(self):
-        errors = [normal_approx_error(PoissonParams(m, 1.0)) for m in (1.0, 5.0, 10.0, 50.0, 100.0)]
+        errors = [normal_approx_error(PoissonParams(m)) for m in (1.0, 5.0, 10.0, 50.0, 100.0)]
         assert all(b < a for a, b in zip(errors, errors[1:]))
