@@ -44,6 +44,7 @@ from .distributions import (
 from .errors import DomainError, ParameterError
 from .occupancy import INFINITE_HOLD, LocationConfig, blocking_fraction, peak_stats, simulate_occupancy
 from .samplers import (
+    _U64_MAX,
     RngStream,
     sample_exponential,
     sample_lomax,
@@ -135,8 +136,9 @@ class ExperimentConfig:
         object.__setattr__(self, "rates", _sorted_unique("rates", self.rates))
         for name in ("exp_rate", "horizon", "x_max", "x_step", "holding_rate"):
             object.__setattr__(self, name, _positive_finite(name, getattr(self, name)))
-        for name, low in (("node_budget", 1), ("replications", 1), ("seed", 0)):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
+        for name in ("node_budget", "replications"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0, _U64_MAX))  # the stream's bound
         object.__setattr__(self, "overrides", tuple(str(k) for k in self.overrides))
         self.location()  # LocationConfig checks the capacity and the holding law
 

@@ -9,10 +9,10 @@ to the admission decision.
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
 from dataclasses import dataclass
+from heapq import heappush, heapreplace
 
 import numpy as np
 
@@ -36,9 +36,6 @@ INFINITE_HOLD = "infinite"
 
 # holding-time laws: two registry families, or no departure at all
 HOLDING_FAMILIES = ("exponential", "lomax", INFINITE_HOLD)
-
-# holding times drawn per block on the bounded path
-_HOLD_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -125,77 +122,62 @@ class PeakStats:
 def simulate_occupancy(trace: ArrivalTrace, loc: LocationConfig, r: RngStream) -> OccupancySeries:
     """Run the loss system over a trace; returns the occupancy step series.
 
-    Holding times come from ``r`` one per admission, in admission order
-    (blocked arrivals consume no randomness), so a fixed (trace, config,
-    stream) triple replays the same series exactly. They are drawn in blocks
-    of up to 4096 (one block for the whole trace when capacity is unbounded),
-    never more than the arrivals still to come, so ``r`` may be read up to
-    one block past the last admission. Each replication's holding stream is
-    private, so no output depends on that read-ahead, and a block of Philox
+    Holding times come from ``r`` in one block of ``len(trace)`` draws, and
+    the j-th admission holds for the j-th draw (blocked arrivals take none),
+    so a fixed (trace, config, stream) triple replays the same series exactly.
+    The draws past the last admission go unused. Each replication's holding
+    stream is private, so no output depends on them, and a block of Philox
     draws equals the scalar draws it replaces bit for bit. Infinite holding
     draws none. A departure time that overflows to inf raises ``DomainError``
     (the series rejects an infinite ``end_time``).
     """
+    times = trace.times
     if loc.holding_family == INFINITE_HOLD:  # nothing departs: the first arrivals fill the location
         admitted = min(len(trace), loc.capacity or len(trace))
-        breakpoints, counts = trace.times[:admitted], np.arange(1, admitted + 1)
-    elif loc.capacity is None:
-        breakpoints, counts = _unbounded_steps(trace.times, loc, r)
-        admitted = len(trace)
+        breakpoints, counts = times[:admitted], np.arange(1, admitted + 1)
     else:
-        breakpoints, counts, admitted = _loss_system_steps(trace.times.tolist(), loc, r)
+        hold_sampler, _ = FAMILIES[loc.holding_family]
+        holds = hold_sampler(r, loc.holding_params, size=len(trace))
+        if loc.capacity is not None:
+            admits = _admissions(times.tolist(), holds.tolist(), loc.capacity)
+            times, holds = times[admits], holds[:len(admits)]
+        admitted = times.size
+        breakpoints, counts = _merged_steps(times, holds)
     end = max(trace.horizon, float(breakpoints[-1])) if len(breakpoints) else trace.horizon
-    return OccupancySeries(
-        np.asarray(breakpoints, dtype=float), np.asarray(counts, dtype=np.int64),
-        admitted, len(trace) - admitted, float(end),
-    )
+    return OccupancySeries(breakpoints, counts, admitted, len(trace) - admitted, float(end))
 
 
-def _loss_system_steps(times: list[float], loc: LocationConfig, r: RngStream):
-    """Event loop for a capacity bound with finite holding times."""
-    hold_sampler, _ = FAMILIES[loc.holding_family]
-    cap = loc.capacity
-    heappush, heappop = heapq.heappush, heapq.heappop
-    departures: list[float] = []
-    breakpoints: list[float] = []
-    counts: list[int] = []
-    add_time, add_count = breakpoints.append, counts.append
-    holds: list[float] = []
-    used = n = admitted = 0
+def _admissions(times: list[float], holds: list[float], cap: int) -> list[int]:
+    """Indices of the arrivals that ``cap`` places admit; admission j holds for ``holds[j]``.
+
+    The heap keeps at most ``cap`` departure times. Only ``heapreplace``
+    removes one, and only a minimum at or before the arrival, so every node
+    still present is in the heap: a full heap whose minimum is after ``at``
+    has no free place. A departure at ``at`` frees its place for the arrival.
+    """
+    heap: list[float] = []
+    admits: list[int] = []
     for i, at in enumerate(times):
-        # departures before arrivals on ties, so freed capacity is visible
-        while departures and departures[0] <= at:
-            add_time(heappop(departures))
-            n -= 1
-            add_count(n)
-        if n < cap:
-            n += 1
-            admitted += 1
-            add_time(at)
-            add_count(n)
-            if used == len(holds):
-                size = min(_HOLD_BLOCK, len(times) - i)
-                holds = hold_sampler(r, loc.holding_params, size=size).tolist()
-                used = 0
-            heappush(departures, at + holds[used])
-            used += 1
-    while departures:
-        add_time(heappop(departures))
-        n -= 1
-        add_count(n)
-    return breakpoints, counts, admitted
+        if len(heap) < cap:
+            heappush(heap, at + holds[len(admits)])
+        elif heap[0] <= at:
+            heapreplace(heap, at + holds[len(admits)])
+        else:
+            continue
+        admits.append(i)
+    return admits
 
 
-def _unbounded_steps(times: np.ndarray, loc: LocationConfig, r: RngStream):
-    """M/G/inf: every arrival is admitted, so the series is one merged sort.
+def _merged_steps(times: np.ndarray, holds: np.ndarray):
+    """The step series of admitted arrivals and their holds, as one merged sort.
 
     Events sort on (time, kind): departures, then arrivals, then departures at
-    their own arrival instant (a hold below half an ulp of it), which the
-    event loop would also pop only after admitting that arrival.
+    their own arrival instant (a hold below half an ulp of it). Arrival times
+    strictly increase, so this is the order in which an event loop popping
+    departures before each arrival would record them.
     """
-    hold_sampler, _ = FAMILIES[loc.holding_family]
     with np.errstate(over="ignore"):  # an infinite departure is rejected by OccupancySeries
-        departures = times + hold_sampler(r, loc.holding_params, size=times.size)
+        departures = times + holds
     own = departures == times
     merged = np.concatenate([departures[~own], times, departures[own]])
     n, k = times.size, int(own.sum())

@@ -265,6 +265,14 @@ class TestErrorPaths:
     def test_bad_parameter_exits_two(self, tmp_path, capsys):
         assert main(["sweep-alpha", "--out", str(tmp_path), "--alpha", "-0.5"]) == 2
 
+    @pytest.mark.parametrize("command", ["sweep-alpha", "sweep-rate", "compare", "validate", "simulate"])
+    def test_seed_past_the_stream_bound_exits_two_before_any_write(self, command, tmp_path, capsys):
+        # every stream is keyed by a seed below 2**64; the config says so before --out is made
+        out = tmp_path / "o"
+        assert main([command, "--seed", str(2**64), "--out", str(out), "--replications", "2", "--horizon", "10"]) == 2
+        assert "seed must be an integer in [0, 18446744073709551616)" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "form,label",
         [("flag", "a\nb"), ("flag", "a\x1b[2J"), ("flag", "a\u2028b"), ("file", "a\x1b[2J"), ("file", "a\x7fb")],

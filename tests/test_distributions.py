@@ -43,7 +43,7 @@ INTEGER_FIELDS = [
     (LocationConfig, "capacity", 1, math.inf),
     (lambda v: ExperimentConfig(node_budget=v), "node_budget", 1, math.inf),
     (lambda v: ExperimentConfig(replications=v), "replications", 1, math.inf),
-    (lambda v: ExperimentConfig(seed=v), "seed", 0, math.inf),
+    (lambda v: ExperimentConfig(seed=v), "seed", 0, 2**64),
 ]
 
 

@@ -153,3 +153,39 @@ def test_unused_imports_finds_a_dead_name():
 )
 def test_no_module_imports_a_name_it_does_not_use(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` definitions (assignments, functions, classes) that no
+    module of ``sources`` reads, either by name or by importing it."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, node.lineno, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return [f"{module} line {line}: {name}" for module, line, name in defined if name not in read]
+
+
+def test_dead_private_names_finds_an_unread_one():
+    sources = {
+        "a": "_LIMIT = 3\n_SPARE: int = 4\ndef _helper():\n    return _LIMIT\nclass _Gone:\n    pass\n",
+        "b": "from .a import _helper\n__all__ = ['_Gone']\n",
+    }
+    assert dead_private_names(sources) == ["a line 2: _SPARE", "a line 5: _Gone"]
+
+
+def test_every_private_module_name_is_read_somewhere_in_src():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted((ROOT / "src" / "arrivalab").glob("*.py"))}
+    assert dead_private_names(sources) == []

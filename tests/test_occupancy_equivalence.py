@@ -1,9 +1,11 @@
 """The occupancy engine against the seed event loop, byte for byte.
 
 ``seed_simulate_occupancy`` below is the original one-draw-per-admission
-event loop, kept here verbatim as the oracle. The engine draws holding times
-in blocks and computes the unbounded case with one numpy sort; both must give
-the same breakpoints, counts, totals and end time.
+event loop, kept here verbatim as the oracle. The engine draws one block of
+``len(trace)`` holding times, decides admissions with a heap of at most
+``capacity`` departure times, and builds the series of the admitted arrivals
+with one numpy sort; both must give the same breakpoints, counts, totals and
+end time.
 """
 
 import heapq
@@ -11,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from arrivalab import (
     INFINITE_HOLD,
@@ -26,6 +29,7 @@ from arrivalab import (
 from arrivalab.arrivals import ArrivalTrace
 from arrivalab.occupancy import OccupancySeries
 from arrivalab.samplers import FAMILIES as _HOLD_SAMPLERS
+from test_properties import arrival_laws, capacities, holding_laws, horizons, seeds, trace_for
 
 
 def seed_simulate_occupancy(trace: ArrivalTrace, loc: LocationConfig, r: RngStream) -> OccupancySeries:
@@ -121,6 +125,18 @@ def test_matches_seed_loop(capacity, holding, family, seed):
     got = simulate_occupancy(trace, loc, RngStream(seed, 1))
     want = seed_simulate_occupancy(trace, loc, RngStream(seed, 1))
     assert_same_series(got, want)
+
+
+# exponential holds at rates up to 1e3 leave many departed entries in a full heap
+@settings(deadline=None)
+@given(arrival_laws, holding_laws, capacities, horizons, seeds)
+def test_matches_seed_loop_on_drawn_laws(law, hold, capacity, horizon, seed):
+    trace = trace_for(law, horizon, seed)
+    loc = LocationConfig(capacity, *hold)
+    assert_same_series(
+        simulate_occupancy(trace, loc, RngStream(seed, 1)),
+        seed_simulate_occupancy(trace, loc, RngStream(seed, 1)),
+    )
 
 
 @pytest.mark.parametrize("capacity", [3, None])
