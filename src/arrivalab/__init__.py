@@ -11,7 +11,7 @@ exports them all.
 import os
 
 # nothing here calls BLAS, and an idle OpenBLAS pool busy-waits on a core the
-# forked sweep workers need; a value the user set still wins
+# forked KS-check workers of validate need; a value the user set still wins
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import arrivals, distributions, errors, experiments, occupancy, samplers, stats

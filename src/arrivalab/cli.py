@@ -230,9 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help=f"master seed (default {ExperimentConfig.seed})")
     common.add_argument("--out", default=DEFAULT_OUT, help="output directory (default: %(default)s)")
     common.add_argument("--config", default=None, help="flat key=value config file")
-    common.add_argument("--horizon", type=float, default=None, help="simulation horizon in time units")
-    common.add_argument("--replications", type=int, default=None, help="replications per cell")
     common.add_argument("--verbose", action="store_true", help="report every file written")
+
+    # validate reads neither flag and simulate no replications, so they take none
+    horizon = argparse.ArgumentParser(add_help=False)
+    horizon.add_argument("--horizon", type=float, default=None, help="simulation horizon in time units")
+    sized = argparse.ArgumentParser(add_help=False, parents=[horizon])
+    sized.add_argument("--replications", type=int, default=None, help="replications per cell")
 
     curves = argparse.ArgumentParser(add_help=False)
     curves.add_argument("--exp-rate", dest="exp_rate", type=float, default=None,
@@ -254,23 +258,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sweep-alpha", parents=[common, curves, shapes, occ],
+    p = sub.add_parser("sweep-alpha", parents=[common, sized, curves, shapes, occ],
                        help="sweep the Pareto shape values; one CSV per cell")
     p.add_argument("--nodes", dest="node_budget", type=int, default=None, help="node budget / default capacity")
     p.set_defaults(func=_cmd_tables, run=run_alpha_sweep)
 
-    p = sub.add_parser("sweep-rate", parents=[common, occ],
+    p = sub.add_parser("sweep-rate", parents=[common, sized, occ],
                        help="sweep the arrival rates; one CSV per cell")
     p.add_argument("--rate", dest="rates", action="append", type=float, help="arrival rate (repeatable)")
     p.add_argument("--nodes", dest="node_budget", type=int, default=None,
                    help="node budget: pmf support and default capacity")
     p.set_defaults(func=_cmd_tables, run=run_rate_sweep)
 
-    p = sub.add_parser("compare", parents=[common, curves, shapes],
+    p = sub.add_parser("compare", parents=[common, sized, curves, shapes],
                        help="density curves of every family plus crossover summary")
     p.set_defaults(func=_cmd_tables, run=run_tail_comparison)
 
-    p = sub.add_parser("simulate", parents=[common, shapes, occ],
+    p = sub.add_parser("simulate", parents=[common, horizon, shapes, occ],
                        help="one occupancy simulation: trace + step series CSVs")
     p.add_argument("--family", choices=tuple(FAMILIES), default=None, help="arrival-gap family")
     p.add_argument("--rate", dest="rates", action="append", type=float,

@@ -4,9 +4,9 @@ Everything here is a pure function of an :class:`ExperimentConfig`: tables
 carry a provenance block (config echo + seed + version) from which they can
 be regenerated bit for bit, and no runner mutates shared state, so sweeps
 may run in any order (or concurrently on disjoint streams) with identical
-results. The runners use that independence: sweep replications and the KS
-validation checks run on every usable CPU (see ``_fork_map``), and every
-output is the same whatever the CPU count.
+results. The validation suite uses that independence: its KS checks run on
+every usable CPU (see ``_fork_map``), and its report is the same whatever
+the CPU count. Sweep replications run in turn in the calling process.
 """
 
 from __future__ import annotations
@@ -230,12 +230,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_workers(jobs: int) -> int:
-    """The worker count ``_fork_map`` uses for ``jobs`` jobs: one per usable
-    CPU, no more than there are jobs, and one where ``os.fork`` is missing."""
-    return max(1, min(jobs, _usable_cpus())) if hasattr(os, "fork") else 1
-
-
 def _run_share(fn, jobs, start, step):
     """Results of ``jobs[start::step]`` in order, and ``(index, exception)``
     of the first job that raised (which ends the share), or None."""
@@ -262,7 +256,7 @@ def _fork_map(fn, jobs: list):
     Jobs must be independent: a child's writes to shared state stay in the
     child, and only the pickled results come back.
     """
-    workers = _map_workers(len(jobs))
+    workers = max(1, min(len(jobs), _usable_cpus())) if hasattr(os, "fork") else 1
     children = {}  # pid -> read end of its pipe, until it is reaped
     try:
         for w in range(1, workers):
@@ -302,10 +296,11 @@ def _fork_map(fn, jobs: list):
     return out
 
 
-def _replication_summary(loc: LocationConfig, seed: int, trace, rep: int):
+def _replication_summary(cfg: ExperimentConfig, loc: LocationConfig, family: str, params, rep: int):
     """Peak, time-average occupancy and blocking fraction (None for an empty
-    trace) of one sweep replication."""
-    series = simulate_occupancy(trace, loc, RngStream(seed, HOLDING_STREAM_OFFSET + rep))
+    trace) of one sweep replication, on its own arrival and holding streams."""
+    trace = generate_trace(family, params, cfg.horizon, RngStream(cfg.seed, rep))
+    series = simulate_occupancy(trace, loc, RngStream(cfg.seed, HOLDING_STREAM_OFFSET + rep))
     ps = peak_stats(series)
     return ps.peak_count, ps.mean_occupancy, blocking_fraction(series) if len(trace) else None
 
@@ -319,18 +314,10 @@ def _occupancy_summary(cfg: ExperimentConfig, axis: str, family: str, cells) -> 
     out of its mean; a cell with none left reads NaN.
     """
     loc = cfg.location()
-    reps = cfg.replications
-    # traces are drawn here, not in the workers, so every generate_trace call
-    # stays in this process, where a wrapper of the module name can see it
-    jobs = [
-        (loc, cfg.seed, generate_trace(family, params, cfg.horizon, RngStream(cfg.seed, rep)), rep)
-        for _, params in cells
-        for rep in range(reps)
-    ]
-    results = _fork_map(_replication_summary, jobs)
     summaries = []
-    for c in range(len(cells)):
-        peaks, means, blocks = zip(*results[c * reps:(c + 1) * reps])
+    for _, params in cells:
+        peaks, means, blocks = zip(*(_replication_summary(cfg, loc, family, params, rep)
+                                     for rep in range(cfg.replications)))
         blocks = [b for b in blocks if b is not None]
         block_mean = float(np.mean(blocks)) if blocks else float("nan")
         summaries.append((float(np.mean(peaks)), float(np.mean(means)), block_mean))

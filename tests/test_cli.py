@@ -269,8 +269,27 @@ class TestErrorPaths:
     def test_seed_past_the_stream_bound_exits_two_before_any_write(self, command, tmp_path, capsys):
         # every stream is keyed by a seed below 2**64; the config says so before --out is made
         out = tmp_path / "o"
-        assert main([command, "--seed", str(2**64), "--out", str(out), "--replications", "2", "--horizon", "10"]) == 2
+        # validate reads neither sizing flag, simulate no replications
+        sized = {"validate": [], "simulate": ["--horizon", "10"]}.get(
+            command, ["--replications", "2", "--horizon", "10"])
+        assert main([command, "--seed", str(2**64), "--out", str(out), *sized]) == 2
         assert "seed must be an integer in [0, 18446744073709551616)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("validate", ["--horizon", "10"]),
+            ("validate", ["--replications", "2"]),
+            ("simulate", ["--replications", "2"]),
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_two(self, command, flag, tmp_path, capsys):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flag, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

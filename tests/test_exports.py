@@ -109,9 +109,19 @@ def test_perfbench_tracer_wraps_every_name_it_looks_for(tmp_path):
     assert arrivals > 0 and record["counters"]["arrivals.arrivals"] == arrivals
 
 
+def test_perfbench_tracer_sees_every_sweep_replication(tmp_path):
+    # replications run in the traced process, so each one reaches the wrapped
+    # experiments.simulate_occupancy whatever the CPU count
+    record = run_tracer(tmp_path, "sweep-rate", "--replications", "2", "--horizon", "10")
+    cells = len(arrivalab.ExperimentConfig().rates)
+    assert cells == 5
+    assert record["counters"]["occupancy.calls"] == cells * 2
+    assert record["counters"]["experiments.replications"] == cells * 2
+
+
 def test_perfbench_tracer_counts_every_csv_row_of_simulate(tmp_path):
-    # csvio.rows is counted at the writers' call in the traced process, so it
-    # stays whole when the rows are formatted in forked workers
+    # csvio.rows is counted at the writers' calls, one per file, so a file of
+    # many 4096-row chunks counts each of its rows once
     record = run_tracer(tmp_path, "simulate", "--rate", "50", "--horizon", "600")
     data_rows = {}
     for name in ("trace.csv", "occupancy.csv"):

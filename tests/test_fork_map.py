@@ -1,6 +1,6 @@
-"""The worker map behind the sweeps, the validation suite and the bulk CSV
-writers: the same outputs, results and exceptions for any worker count, and
-no child left behind."""
+"""The worker map behind the KS checks of the validation suite: the same
+outputs, results and exceptions for any worker count, and no child left
+behind (the shared ``no_child_left_behind`` fixture checks that)."""
 
 import json
 import os
@@ -10,13 +10,6 @@ from test_golden import DIGESTS, run_case
 
 from arrivalab import ParameterError, experiments
 from arrivalab.experiments import _fork_map
-
-
-@pytest.fixture(autouse=True)
-def no_child_left_behind():
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -38,18 +31,15 @@ def workers(monkeypatch):
     return use
 
 
-# maps per run, each with more jobs than workers: one per sweep table or KS
-# suite (the sweeps' CSV tables are one chunk each and fork nothing), and one
-# per bulk CSV of simulate (10k trace rows and 10k or 20k occupancy rows, at
-# least three 4096-row chunks each); the default simulate writes under 4096
-# rows per file, so it forks nothing
+# maps per run, each with more jobs than workers: one per KS suite; sweep
+# replications and bulk CSV rows run in the calling process and fork nothing
 MAPS = {
     "simulate": 0,
-    "sweep-rate-blocking": 1,
-    "sweep-alpha-flags": 1,
+    "sweep-rate-blocking": 0,
+    "sweep-alpha-flags": 0,
     "validate-ten-alphas": 1,
-    "simulate-long-holds": 2,
-    "simulate-long-holds-lomax-capacity": 2,
+    "simulate-long-holds": 0,
+    "simulate-long-holds-lomax-capacity": 0,
 }
 
 
