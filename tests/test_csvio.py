@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrivalab import experiments
 from arrivalab.arrivals import ArrivalTrace
 from arrivalab.csvio import _write_csv, write_occupancy_csv, write_table_csv, write_trace_csv
 from arrivalab.experiments import SeriesTable
@@ -107,7 +108,12 @@ class FailingColumn:
         return self.values[rows]
 
 
-def test_chunk_that_raises_raises_its_exception(tmp_path):
+@pytest.mark.parametrize("count", (1, 2, 3))
+def test_worker_that_raises_raises_its_exception(count, tmp_path, monkeypatch):
+    # whatever the usable CPU count, the rows are formatted in the calling
+    # process: the chunk's own exception comes out and no child is left
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: count)
+
     def fail():
         raise ValueError("chunk 2 failed")
 
@@ -115,6 +121,8 @@ def test_chunk_that_raises_raises_its_exception(tmp_path):
     with pytest.raises(ValueError, match="^chunk 2 failed$"):
         _write_csv(tmp_path / "t.csv", {}, "a,b", "%.17g,%.17g\n", column, column)
     assert os.listdir(tmp_path) == ["t.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_special_values_are_written_as_format_writes_them(tmp_path):
