@@ -53,7 +53,7 @@ def generate_trace(family: str, params, horizon: float, r: RngStream) -> Arrival
     """
     if family not in FAMILIES:
         raise ParameterError(f"unknown arrival family {family!r}; expected one of {tuple(FAMILIES)}")
-    sampler, want = FAMILIES[family]
+    sampler, want, _ = FAMILIES[family]
     if not isinstance(params, want):
         raise ParameterError(f"family {family!r} needs {want.__name__}, got {type(params).__name__}")
     if not (np.isfinite(horizon) and horizon > 0):

@@ -17,7 +17,6 @@ from pathlib import Path
 from ._version import __version__
 from .arrivals import fixed_trace, generate_trace
 from .csvio import write_manifest, write_occupancy_csv, write_table_csv, write_trace_csv
-from .distributions import ExponentialParams, ParetoOneParams, ParetoTwoParams
 from .errors import DomainError, ParameterError
 from .experiments import (
     HOLDING_STREAM_OFFSET,
@@ -77,6 +76,8 @@ def _parse_value(key: str, raw: str):
             return None if raw.lower() in ("none", "unbounded") else int(raw)
     except ValueError as exc:
         raise ParameterError(f"config key {key!r}: cannot parse {raw!r}: {exc}") from None
+    if key == "family" and raw not in FAMILIES:
+        raise ParameterError(f"unknown arrival family {raw!r}; expected one of {tuple(FAMILIES)}")
     if key == "label" and any(unicodedata.category(c) in ("Cc", "Zl", "Zp") for c in raw):
         # a line break or escape sequence would break out of the provenance comment line
         raise ParameterError(f"label must not contain control characters or line breaks, got {raw!r}")
@@ -87,8 +88,8 @@ def _parse_value(key: str, raw: str):
 _PLURALS = {"alpha": "alphas", "beta": "betas", "rate": "rates"}
 # keys only simulate reads; ExperimentConfig has no field for them
 _SIMULATE_ONLY = ("family", "arrivals", "label")
-# simulate's own values for the sweep lists that neither file nor flags set
-_SIMULATE_DEFAULTS = {"rates": 0.9, "alphas": 0.5, "betas": 1.0}
+# arrival params field -> (the sweep list it comes from, simulate's value if unset)
+_SIMULATE_FIELDS = {"rate": ("rates", 0.9), "shape": ("alphas", 0.5), "scale": ("betas", 1.0)}
 
 
 def _resolve(args) -> tuple[ExperimentConfig, dict]:
@@ -143,10 +144,10 @@ def _cmd_tables(args) -> int:
     return 0
 
 
-def _single(cfg: ExperimentConfig, key: str) -> float:
-    """The one value simulate takes from a sweep list; its own default unless set."""
+def _single(cfg: ExperimentConfig, key: str, default: float) -> float:
+    """The one value simulate takes from a sweep list; ``default`` unless set."""
     if key not in cfg.overrides:
-        return _SIMULATE_DEFAULTS[key]
+        return default
     entries = getattr(cfg, key)
     if len(entries) != 1:
         raise ParameterError(f"simulate needs a single {key[:-1]}, got {key} = {entries}")
@@ -155,7 +156,7 @@ def _single(cfg: ExperimentConfig, key: str) -> float:
 
 def _cmd_simulate(args) -> int:
     cfg, extra = _resolve(args)
-    rate, alpha, beta = _single(cfg, "rates"), _single(cfg, "alphas"), _single(cfg, "betas")
+    single = {field: _single(cfg, *entry) for field, entry in _SIMULATE_FIELDS.items()}
     if "arrivals" in extra:  # an explicitly empty fixture is a fixture too
         times = extra["arrivals"]
         # a fixed trace ends at its last arrival unless a horizon is set
@@ -164,15 +165,10 @@ def _cmd_simulate(args) -> int:
         params_desc = f"times={','.join(repr(t) for t in times)}"
     else:
         family = extra.get("family", "exponential")
-        if family == "exponential":
-            params = ExponentialParams(rate)
-            params_desc = f"rate={rate!r}"
-        elif family == "pareto1":
-            params = ParetoOneParams(alpha)
-            params_desc = f"alpha={alpha!r}"
-        else:
-            params = ParetoTwoParams(alpha, beta)
-            params_desc = f"alpha={alpha!r} beta={beta!r}"
+        params_type = FAMILIES[family][1]
+        values = {f.name: single[f.name] for f in dataclasses.fields(params_type)}
+        params = params_type(**values)
+        params_desc = " ".join(f"{_SIMULATE_FIELDS[name][0][:-1]}={v!r}" for name, v in values.items())
         trace = generate_trace(family, params, cfg.horizon, RngStream(cfg.seed, 0))
     # here capacity None means unbounded, where ExperimentConfig reads it as node_budget
     loc = dataclasses.replace(cfg.location(), capacity=cfg.capacity)

@@ -77,6 +77,9 @@ HOLDING_STREAM_OFFSET = 1 << 32
 # validation-suite streams live in their own region of the id space
 _VALIDATION_STREAM_BASE = 1 << 33
 
+# the most steps x_max / x_step a curve grid may take: a million rows are 8 MB
+# a column in memory, far past any plotted curve (the default grid has 501)
+_MAX_GRID_STEPS = 10**6
 # crossover searches run on [0, 1000]
 CROSSOVER_SEARCH_MAX = 1000.0
 
@@ -100,10 +103,13 @@ DEFAULT_VALIDATION_CHECK_COUNT = 19
 
 
 def _sorted_unique(name: str, values) -> tuple[float, ...]:
-    vals = tuple(_positive_finite(f"{name} entries", v) for v in values)
+    vals = tuple(sorted({_positive_finite(f"{name} entries", v) for v in values}))
     if not vals:
         raise ParameterError(f"{name} must not be empty")
-    return tuple(sorted(set(vals)))
+    for a, b in zip(vals, vals[1:]):  # tables, columns and checks are named by f"{v:g}"
+        if f"{a:g}" == f"{b:g}":
+            raise ParameterError(f"{name} entries {a!r} and {b!r} both print as {a:g}; their output names would collide")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -136,6 +142,9 @@ class ExperimentConfig:
         object.__setattr__(self, "rates", _sorted_unique("rates", self.rates))
         for name in ("exp_rate", "horizon", "x_max", "x_step", "holding_rate"):
             object.__setattr__(self, name, _positive_finite(name, getattr(self, name)))
+        if not self.x_max / self.x_step <= _MAX_GRID_STEPS:  # an overflow to inf included
+            raise ParameterError(f"x_max / x_step must not exceed {_MAX_GRID_STEPS:g} grid steps, "
+                                 f"got {self.x_max!r} / {self.x_step!r}")
         for name in ("node_budget", "replications"):
             object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0, _U64_MAX))  # the stream's bound

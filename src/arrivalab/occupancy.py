@@ -19,7 +19,7 @@ import numpy as np
 from .arrivals import ArrivalTrace
 from .distributions import _integer
 from .errors import DomainError, ParameterError
-from .samplers import FAMILIES, SMALLEST_UNIFORM, RngStream, exponential_from_uniform, lomax_from_uniform
+from .samplers import FAMILIES, SMALLEST_UNIFORM, RngStream
 
 __all__ = [
     "HOLDING_FAMILIES",
@@ -56,11 +56,10 @@ class LocationConfig:
             return
         if fam not in HOLDING_FAMILIES:
             raise ParameterError(f"unknown holding family {fam!r}; expected one of {HOLDING_FAMILIES}")
-        _, want = FAMILIES[fam]
+        _, want, inverse = FAMILIES[fam]
         params = self.holding_params if self.holding_params is not None else want(1.0)
         if not isinstance(params, want):
             raise ParameterError(f"holding family {fam!r} needs {want.__name__}, got {type(params).__name__}")
-        inverse = exponential_from_uniform if fam == "exponential" else lomax_from_uniform
         with np.errstate(over="ignore"):
             largest = float(inverse(SMALLEST_UNIFORM, params))
         if not math.isfinite(largest):
@@ -136,7 +135,7 @@ def simulate_occupancy(trace: ArrivalTrace, loc: LocationConfig, r: RngStream) -
         admitted = min(len(trace), loc.capacity or len(trace))
         breakpoints, counts = times[:admitted], np.arange(1, admitted + 1)
     else:
-        hold_sampler, _ = FAMILIES[loc.holding_family]
+        hold_sampler = FAMILIES[loc.holding_family][0]
         holds = hold_sampler(r, loc.holding_params, size=len(trace))
         if loc.capacity is not None:
             admits = _admissions(times.tolist(), holds.tolist(), loc.capacity)

@@ -112,13 +112,14 @@ def sample_lomax(r: RngStream, p: ParetoTwoParams, size=None):
 pareto1_from_uniform, sample_pareto1 = lomax_from_uniform, sample_lomax
 
 
-# the one registry of continuous families: name -> (sampler, params type).
+# the one registry of continuous families: name -> (sampler, params type,
+# inverse transform), where the sampler is the inverse at a stream's uniforms.
 # Arrival gaps may come from any of them, holding times from exponential and
 # lomax (see ``occupancy.HOLDING_FAMILIES``).
 FAMILIES = {
-    "exponential": (sample_exponential, ExponentialParams),
-    "pareto1": (sample_pareto1, ParetoOneParams),
-    "lomax": (sample_lomax, ParetoTwoParams),
+    "exponential": (sample_exponential, ExponentialParams, exponential_from_uniform),
+    "pareto1": (sample_pareto1, ParetoOneParams, pareto1_from_uniform),
+    "lomax": (sample_lomax, ParetoTwoParams, lomax_from_uniform),
 }
 
 

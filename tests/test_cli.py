@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import arrivalab.experiments
+from arrivalab import FAMILIES, ParameterError
 from arrivalab.cli import KNOWN_CONFIG_KEYS, load_config_file, main
 
 
@@ -116,6 +117,25 @@ class TestSimulate:
         cfg.write_text("family = weibull\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "family" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep-rate"])
+    def test_config_family_is_checked_when_the_file_is_parsed(self, command, tmp_path, capsys):
+        # as --family's choices are, even where the command or a fixture would not read it
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("family = weibull\narrivals = 1,2\n")
+        with pytest.raises(ParameterError, match="unknown arrival family 'weibull'"):
+            load_config_file(cfg)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "family,params", [("exponential", "rate=1.5"), ("pareto1", "alpha=0.7"), ("lomax", "alpha=0.7 beta=2.0")]
+    )
+    def test_params_come_from_the_fields_of_the_family_params_type(self, family, params, tmp_path):
+        assert set(FAMILIES) == {"exponential", "pareto1", "lomax"}
+        main(["simulate", "--family", family, "--rate", "1.5", "--alpha", "0.7", "--beta", "2", "--horizon", "20",
+              "--out", str(tmp_path)])
+        assert provenance(tmp_path / "trace.csv")["params"] == params
 
     @staticmethod
     def empty_fixture_args(form, tmp_path):
@@ -305,6 +325,34 @@ class TestErrorPaths:
         assert main(["simulate", "--arrivals", "1,2", "--out", str(out), *extra]) == 2
         assert "control characters" in capsys.readouterr().err
         assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command,flags,error",
+        [
+            ("sweep-alpha", ["--alpha", "0.1234567", "--alpha", "0.1234568"],
+             "alphas entries 0.1234567 and 0.1234568 both print as 0.123457"),
+            ("sweep-alpha", ["--beta", "1.0000001", "--beta", "1.0000002"],
+             "betas entries 1.0000001 and 1.0000002 both print as 1"),
+            ("compare", ["--beta", "2", "--beta", "2.0000001"], "betas entries 2.0 and 2.0000001 both print as 2"),
+            ("sweep-rate", ["--rate", "0.30000001", "--rate", "0.3"],
+             "rates entries 0.3 and 0.30000001 both print as 0.3"),
+        ],
+    )
+    def test_sweep_values_that_print_alike_exit_two_before_any_write(self, command, flags, error, tmp_path, capsys):
+        # tables, columns and check names carry each value as :g, so one would overwrite the other
+        out = tmp_path / "o"
+        assert main([command, *flags, "--replications", "2", "--horizon", "10", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {error}; their output names would collide\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("x_max,x_step", [("1e300", "1e-300"), ("1e30", "1e-10"), ("1000.5", "0.001")])
+    def test_oversized_curve_grid_exits_two_before_any_write(self, x_max, x_step, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["compare", "--x-max", x_max, "--x-step", x_step, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: x_max / x_step must not exceed 1e+06 grid steps, got ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestFlagPlumbing:

@@ -10,6 +10,7 @@ from arrivalab import (
     ExperimentConfig,
     ParameterError,
     PoissonParams,
+    RngStream,
     SeriesTable,
     poisson_pmf,
     run_alpha_sweep,
@@ -17,7 +18,10 @@ from arrivalab import (
     run_tail_comparison,
     run_validation_suite,
 )
-from arrivalab.experiments import DEFAULT_VALIDATION_CHECK_COUNT
+import arrivalab.cli
+import arrivalab.experiments
+from arrivalab.cli import main
+from arrivalab.experiments import DEFAULT_VALIDATION_CHECK_COUNT, HOLDING_STREAM_OFFSET
 
 FAST = ExperimentConfig(replications=3, horizon=30.0)
 
@@ -75,6 +79,19 @@ class TestExperimentConfig:
     def test_rejects_invalid_values(self, kwargs):
         with pytest.raises(ParameterError):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["alphas", "betas", "rates"])
+    def test_rejects_entries_that_print_alike(self, name):
+        # tables, columns and validation checks are named by f"{value:g}"
+        with pytest.raises(ParameterError, match=f"{name} entries 0.5 and 0.5000001 both print as 0.5"):
+            ExperimentConfig(**{name: (0.5000001, 0.9, 0.5)})
+        assert getattr(ExperimentConfig(**{name: (0.500001, 0.5)}), name) == (0.5, 0.500001)
+
+    def test_curve_grid_takes_at_most_a_million_steps(self):
+        assert ExperimentConfig(x_max=1e5, x_step=0.1).x_max == 1e5
+        for x_max, x_step in ((1e5, 0.0999), (1e300, 1e-300)):  # the second overflows to inf
+            with pytest.raises(ParameterError, match="must not exceed 1e\\+06 grid steps"):
+                ExperimentConfig(x_max=x_max, x_step=x_step)
 
     @pytest.mark.parametrize("name", ["seed", "capacity", "node_budget", "replications"])
     def test_rejects_bool_integers(self, name):
@@ -246,3 +263,60 @@ class TestReproducibility:
         cell = run_alpha_sweep(cfg)[0]
         assert cell.provenance["overrides"] == "alphas"
         assert cell.provenance["alphas"] == "0.5"
+
+
+class TestStreamLayout:
+    """Replication r of every sweep cell draws its arrivals from ``(seed, r)``
+    and its holds from ``(seed, 2**32 + r)``; simulate uses ids 0 and 2**32.
+    So two cells at the same seed draw from the same uniforms, which pairs
+    their replications by common random numbers. A layout that gave each cell
+    its own ids would lose that pairing without changing any one table's law.
+    """
+
+    @pytest.fixture
+    def streams(self, monkeypatch):
+        """``(built, used)``: the ``(seed, stream_id)`` of every stream that
+        ``experiments`` and ``cli`` build, and ``(role, seed, stream_id)`` of
+        each stream handed to ``generate_trace`` or ``simulate_occupancy``."""
+        built, used = [], []
+
+        class RecordedStream(RngStream):
+            def __init__(self, seed, stream_id=0):
+                super().__init__(seed, stream_id)
+                built.append((seed, stream_id))
+
+        def recorded(role, fn, stream_arg):
+            def call(*args):
+                used.append((role, args[stream_arg].seed, args[stream_arg].stream_id))
+                return fn(*args)
+            return call
+
+        for module in (arrivalab.experiments, arrivalab.cli):
+            monkeypatch.setattr(module, "RngStream", RecordedStream)
+            monkeypatch.setattr(module, "generate_trace", recorded("arrivals", module.generate_trace, 3))
+            monkeypatch.setattr(module, "simulate_occupancy", recorded("holds", module.simulate_occupancy, 2))
+        return built, used
+
+    def test_holding_ids_start_at_2_to_the_32(self):
+        assert HOLDING_STREAM_OFFSET == 2**32
+
+    @pytest.mark.parametrize("command,cells", [("sweep-alpha", DEFAULT_SHAPE_SWEEP), ("sweep-rate", DEFAULT_RATE_SWEEP)])
+    def test_sweep_replication_r_uses_ids_r_and_2_to_the_32_plus_r(self, streams, command, cells, tmp_path):
+        built, used = streams
+        assert main([command, "--seed", "9", "--replications", "3", "--horizon", "20", "--out", str(tmp_path)]) == 0
+        one_cell = [d for r in range(3) for d in (("arrivals", 9, r), ("holds", 9, 2**32 + r))]
+        assert used == one_cell * len(cells)
+        assert built == [(seed, stream_id) for _, seed, stream_id in used]
+
+    @pytest.mark.parametrize(
+        "flags,expected",
+        [
+            (["--family", "lomax"], [("arrivals", 5, 0), ("holds", 5, 2**32)]),
+            (["--arrivals", "1,2"], [("holds", 5, 2**32)]),  # a fixture draws no arrivals
+        ],
+    )
+    def test_simulate_uses_ids_0_and_2_to_the_32(self, streams, flags, expected, tmp_path):
+        built, used = streams
+        assert main(["simulate", "--seed", "5", *flags, "--out", str(tmp_path)]) == 0
+        assert used == expected
+        assert built == [(seed, stream_id) for _, seed, stream_id in expected]

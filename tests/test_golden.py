@@ -4,13 +4,16 @@ Each case runs ``arrivalab.cli.main`` in-process and compares the SHA-256 of
 its ``manifest.txt`` (``validation_report.txt`` for ``validate``) with
 ``golden/digests.json``. The manifest hashes every CSV it lists, so one digest
 pins every byte of the run. A change that alters any output fails here unless
-the digests are re-recorded on purpose:
+the digests are re-recorded on purpose, only those of the cases it names:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME...
+
+With no names every digest is re-recorded; an unknown name is an error.
 """
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -74,10 +77,32 @@ def test_every_golden_digest_has_a_case():
     assert set(json.loads(DIGESTS.read_text())) == set(CASES)
 
 
-if __name__ == "__main__":
-    import tempfile
-
+def record(names, path=DIGESTS) -> None:
+    """Re-record the digests of the cases ``names`` in ``path``, keeping the
+    others; every digest, and no other, when ``names`` is empty."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown golden case(s): {', '.join(unknown)}; known: {', '.join(sorted(CASES))}")
+    digests = json.loads(path.read_text()) if names else {}
+    names = sorted(set(names or CASES))
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {name: run_case(name, Path(tmp) / name) for name in sorted(CASES)}
-    DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
-    print(f"recorded {len(digests)} digests in {DIGESTS}", file=sys.stderr)
+        for name in names:
+            digests[name] = run_case(name, Path(tmp) / name)
+    path.write_text(json.dumps(dict(sorted(digests.items())), indent=2) + "\n")
+    print(f"recorded {len(names)} digests in {path}", file=sys.stderr)
+
+
+def test_recording_named_cases_keeps_the_other_digests(tmp_path):
+    stale = {name: "stale" for name in CASES}
+    path = tmp_path / "digests.json"
+    path.write_text(json.dumps(stale))
+    record(["simulate"], path)
+    recorded = json.loads(path.read_text())
+    assert recorded == {**stale, "simulate": json.loads(DIGESTS.read_text())["simulate"]}
+    with pytest.raises(SystemExit, match="unknown golden case\\(s\\): simulat;"):
+        record(["simulat"], path)
+    assert json.loads(path.read_text()) == recorded
+
+
+if __name__ == "__main__":
+    record(sys.argv[1:])

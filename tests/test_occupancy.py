@@ -19,7 +19,7 @@ from arrivalab import (
     simulate_occupancy,
 )
 from arrivalab.csvio import write_occupancy_csv
-from arrivalab.samplers import SMALLEST_UNIFORM, exponential_from_uniform, lomax_from_uniform
+from arrivalab.samplers import FAMILIES, SMALLEST_UNIFORM
 
 
 class ScriptedStream:
@@ -185,7 +185,7 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match=r"infinite hold.*2\*\*-54.*1\.79769e\+308"):
             LocationConfig(None, family, rejected)
         loc = LocationConfig(None, family, accepted)
-        inverse = exponential_from_uniform if family == "exponential" else lomax_from_uniform
+        _, _, inverse = FAMILIES[family]
         assert 7e307 < inverse(SMALLEST_UNIFORM, loc.holding_params) < math.inf
 
 

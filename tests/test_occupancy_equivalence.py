@@ -41,7 +41,7 @@ def seed_simulate_occupancy(trace: ArrivalTrace, loc: LocationConfig, r: RngStre
     """
     infinite = loc.holding_family == INFINITE_HOLD
     if not infinite:
-        hold_sampler, _ = _HOLD_SAMPLERS[loc.holding_family]
+        hold_sampler, _, _ = _HOLD_SAMPLERS[loc.holding_family]
     cap = loc.capacity
 
     departures: list[float] = []

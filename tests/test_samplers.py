@@ -21,6 +21,7 @@ from arrivalab import (
     sample_poisson_count,
 )
 from arrivalab.samplers import (
+    FAMILIES,
     exponential_from_uniform,
     lomax_from_uniform,
     pareto1_from_uniform,
@@ -218,3 +219,30 @@ class TestBlockDrawsEqualScalarDraws:
         chunks = np.concatenate([sampler(r, params, size=k) for k in (5, 4096, 3)])
         whole = sampler(RngStream(29, 1), params, size=4104)
         assert chunks.tobytes() == whole.tobytes()
+
+
+class TestFamilyRegistry:
+    """``FAMILIES`` maps each family name to its sampler, params type and
+    inverse transform, and each sampler is its inverse at the stream's
+    uniforms, bit for bit, scalar and block."""
+
+    PARAMS = {
+        "exponential": ExponentialParams(0.7),
+        "pareto1": ParetoOneParams(0.6),
+        "lomax": ParetoTwoParams(1.5, 2.0),
+    }
+
+    def test_every_family_has_its_params_type(self):
+        assert {name: want for name, (_, want, _) in FAMILIES.items()} == {
+            name: type(p) for name, p in self.PARAMS.items()
+        }
+
+    @pytest.mark.parametrize("family", sorted(PARAMS))
+    def test_sampler_is_the_inverse_at_a_twin_streams_uniforms(self, family):
+        sampler, _, inverse = FAMILIES[family]
+        p = self.PARAMS[family]
+        r, twin = RngStream(17, 5), RngStream(17, 5)
+        scalars = np.array([sampler(r, p) for _ in range(200)])
+        assert scalars.tobytes() == np.array([float(inverse(twin.uniform_open(), p)) for _ in range(200)]).tobytes()
+        block = sampler(r, p, size=5000)
+        assert block.tobytes() == inverse(twin.uniform_open(5000), p).tobytes()
