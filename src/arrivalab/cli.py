@@ -156,7 +156,6 @@ def _single(cfg: ExperimentConfig, key: str, default: float) -> float:
 
 def _cmd_simulate(args) -> int:
     cfg, extra = _resolve(args)
-    single = {field: _single(cfg, *entry) for field, entry in _SIMULATE_FIELDS.items()}
     if "arrivals" in extra:  # an explicitly empty fixture is a fixture too
         times = extra["arrivals"]
         # a fixed trace ends at its last arrival unless a horizon is set
@@ -166,7 +165,8 @@ def _cmd_simulate(args) -> int:
     else:
         family = extra.get("family", "exponential")
         params_type = FAMILIES[family][1]
-        values = {f.name: single[f.name] for f in dataclasses.fields(params_type)}
+        # only the family's own fields: a sweep list it never reads may hold many values
+        values = {f.name: _single(cfg, *_SIMULATE_FIELDS[f.name]) for f in dataclasses.fields(params_type)}
         params = params_type(**values)
         params_desc = " ".join(f"{_SIMULATE_FIELDS[name][0][:-1]}={v!r}" for name, v in values.items())
         trace = generate_trace(family, params, cfg.horizon, RngStream(cfg.seed, 0))
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None, help="flat key=value config file")
     common.add_argument("--verbose", action="store_true", help="report every file written")
 
-    # validate reads neither flag and simulate no replications, so they take none
+    # compare and validate read neither flag and simulate no replications, so they take none
     horizon = argparse.ArgumentParser(add_help=False)
     horizon.add_argument("--horizon", type=float, default=None, help="simulation horizon in time units")
     sized = argparse.ArgumentParser(add_help=False, parents=[horizon])
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="node budget: pmf support and default capacity")
     p.set_defaults(func=_cmd_tables, run=run_rate_sweep)
 
-    p = sub.add_parser("compare", parents=[common, sized, curves, shapes],
+    p = sub.add_parser("compare", parents=[common, curves, shapes],
                        help="density curves of every family plus crossover summary")
     p.set_defaults(func=_cmd_tables, run=run_tail_comparison)
 

@@ -56,7 +56,6 @@ from .stats import EmpiricalSample, crossover_point, ks_critical_value, ks_stati
 __all__ = [
     "DEFAULT_SHAPE_SWEEP",
     "DEFAULT_RATE_SWEEP",
-    "DEFAULT_VALIDATION_CHECK_COUNT",
     "HOLDING_STREAM_OFFSET",
     "ExperimentConfig",
     "SeriesTable",
@@ -95,11 +94,6 @@ DERIVATIVE_RTOL = 1e-6
 MISMATCH_MIN_REL = 0.1
 NORMAL_ERROR_MEANS = (1.0, 5.0, 10.0, 50.0, 100.0)
 VALIDATION_LOMAX_CELLS = ((0.5, 2.0), (0.9, 0.5))
-
-# suite size with the default config: KS (1 exp + 5 pareto1 + 2 lomax),
-# Poisson mean+variance at 3 means, 3 derivative checks, mismatch flag,
-# normal-approximation monotonicity
-DEFAULT_VALIDATION_CHECK_COUNT = 19
 
 
 def _sorted_unique(name: str, values) -> tuple[float, ...]:
@@ -341,14 +335,13 @@ def _occupancy_summary(cfg: ExperimentConfig, axis: str, family: str, cells) -> 
     )
 
 
-def run_alpha_sweep(config: ExperimentConfig | None = None) -> list[SeriesTable]:
+def run_alpha_sweep(cfg: ExperimentConfig) -> list[SeriesTable]:
     """One curve table per shape value plus an occupancy summary table.
 
     Each cell table holds the exponential baseline and the one- and
     two-parameter Pareto pdf/survival curves on the x grid; the summary table
     aggregates replicated heavy-tailed-arrival simulations per shape value.
     """
-    cfg = config if config is not None else ExperimentConfig()
     xs = _grid(cfg)
     ep = ExponentialParams(cfg.exp_rate)
     tables = []
@@ -371,9 +364,8 @@ def run_alpha_sweep(config: ExperimentConfig | None = None) -> list[SeriesTable]
     return tables
 
 
-def run_rate_sweep(config: ExperimentConfig | None = None) -> list[SeriesTable]:
+def run_rate_sweep(cfg: ExperimentConfig) -> list[SeriesTable]:
     """One Poisson pmf table per arrival rate plus an occupancy summary table."""
-    cfg = config if config is not None else ExperimentConfig()
     ns = np.arange(0, cfg.node_budget + 1, dtype=float)
     tables = []
     for r in cfg.rates:
@@ -387,7 +379,7 @@ def run_rate_sweep(config: ExperimentConfig | None = None) -> list[SeriesTable]:
     return tables
 
 
-def run_tail_comparison(config: ExperimentConfig | None = None) -> list[SeriesTable]:
+def run_tail_comparison(cfg: ExperimentConfig) -> list[SeriesTable]:
     """Density curves of every family on one grid, plus a crossover summary.
 
     The summary table locates, per shape value, the first point where the
@@ -396,7 +388,6 @@ def run_tail_comparison(config: ExperimentConfig | None = None) -> list[SeriesTa
     shifted-CDF companion's validity region) and are NaN at x = 0 where that
     density diverges.
     """
-    cfg = config if config is not None else ExperimentConfig()
     xs = _grid(cfg)
     ep = ExponentialParams(cfg.exp_rate)
     cols = {"exp_pdf": exp_pdf(xs, ep)}
@@ -515,7 +506,7 @@ def _lomax_point(u):
     return 0.05 + 9.95 * u[0], ParetoTwoParams(0.2 + 2.8 * u[1], 0.5 + 2.5 * u[2])
 
 
-def run_validation_suite(config: ExperimentConfig | None = None) -> ValidationReport:
+def run_validation_suite(cfg: ExperimentConfig) -> ValidationReport:
     """Sampler KS fidelity, Poisson moments, derivative consistency, the
     deliberate shifted/power-law mismatch, and normal-approximation
     convergence, as one structured report.
@@ -523,7 +514,6 @@ def run_validation_suite(config: ExperimentConfig | None = None) -> ValidationRe
     Failures are report entries, never exceptions; the mismatch entry is
     *supposed* to report "expected-mismatch".
     """
-    cfg = config if config is not None else ExperimentConfig()
     blocks = itertools.count()  # one block of stream ids per check that draws
 
     # cells are built per call, not at import, so a name rebound on this

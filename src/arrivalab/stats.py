@@ -27,6 +27,9 @@ __all__ = [
 
 # one-sample KS critical value at the 1% level is KS_CRITICAL_1PCT / sqrt(n)
 KS_CRITICAL_1PCT = 1.63
+# crossover_point's scan steps over [lo, hi] and its absolute bisection tolerance
+CROSSOVER_GRID = 2048
+CROSSOVER_TOL = 1e-9
 
 
 def ks_critical_value(n: int) -> float:
@@ -75,18 +78,18 @@ def ks_statistic(s: EmpiricalSample, cdf) -> float:
     return float(max(np.max(i / n - fx), np.max(fx - (i - 1.0) / n)))
 
 
-def crossover_point(f, g, lo: float, hi: float, grid: int = 2048, tol: float = 1e-9):
+def crossover_point(f, g, lo: float, hi: float):
     """Smallest x in [lo, hi] where f(x) >= g(x), or None if f stays below.
 
-    Grid scan to bracket the first sign change of f - g, then bisection to
-    absolute tolerance ``tol``. If f >= g already at ``lo`` the interval
-    start is returned at once.
+    Grid scan of ``CROSSOVER_GRID`` steps to bracket the first sign change of
+    f - g, then bisection to absolute tolerance ``CROSSOVER_TOL``. If f >= g
+    already at ``lo`` the interval start is returned at once.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise DomainError(f"need a finite interval with lo < hi, got [{lo!r}, {hi!r}]")
     if f(lo) >= g(lo):
         return float(lo)
-    xs = np.linspace(lo, hi, grid + 1)
+    xs = np.linspace(lo, hi, CROSSOVER_GRID + 1)
     a = float(lo)
     b = None
     for x in xs[1:]:
@@ -97,7 +100,7 @@ def crossover_point(f, g, lo: float, hi: float, grid: int = 2048, tol: float = 1
         a = x
     if b is None:
         return None
-    while b - a > tol:
+    while b - a > CROSSOVER_TOL:
         mid = 0.5 * (a + b)
         if f(mid) >= g(mid):
             b = mid

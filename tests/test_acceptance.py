@@ -9,6 +9,7 @@ from arrivalab import (
     INFINITE_HOLD,
     DEFAULT_SHAPE_SWEEP,
     EmpiricalSample,
+    ExperimentConfig,
     ExponentialParams,
     LocationConfig,
     ParetoOneParams,
@@ -147,7 +148,8 @@ def test_criterion_7_analytic_consistency():
     derivative_ok = worst < 1e-6
 
     entry = next(
-        c for c in run_validation_suite().checks if c.name == "pareto2-shifted-powerlaw-mismatch"
+        c for c in run_validation_suite(ExperimentConfig()).checks
+        if c.name == "pareto2-shifted-powerlaw-mismatch"
     )
     mismatch_ok = entry.status == "expected-mismatch"
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from arrivalab import (
     generate_trace,
     poisson_pmf,
 )
+from arrivalab.arrivals import _enforce_strict_increase
 from arrivalab.csvio import write_trace_csv
 
 # chi-square 1% critical value, 3 degrees of freedom (bins 0,1,2,>=3)
@@ -80,6 +83,46 @@ class TestGenerateTrace:
         tr = exp_trace(seed=4, horizon=50.0)
         with pytest.raises(ValueError):
             tr.times[0] = -1.0
+
+    def test_rejects_non_finite_horizon(self):
+        with pytest.raises(DomainError, match="finite"):
+            fixed_trace([1.0], horizon=math.inf)
+
+
+class UniformsDouble:
+    """Stands in for an RngStream: its first block starts with ``head``, and 0.5 fills the rest."""
+
+    seed, stream_id = 0, 0
+
+    def __init__(self, *head):
+        self.head = head
+
+    def uniform_open(self, size):
+        u = np.full(size, 0.5)
+        u[: len(self.head)] = self.head
+        self.head = ()
+        return u
+
+
+class TestSubUlpGaps:
+    """A gap below half an ulp of the running time vanishes in the cumulative
+    sum; the later arrival is moved one ulp up, so times stay strictly increasing."""
+
+    def test_a_vanished_gap_becomes_one_ulp(self):
+        params = ExponentialParams(4.0)
+        # a first gap of about 1.15 (ulp 2**-52), then one of 2**-55
+        gaps = -np.log([0.01, 1 - 2**-53]) / params.rate
+        assert gaps[1] > 0 and gaps[0] + gaps[1] == gaps[0]  # the sum ties
+        tr = generate_trace("exponential", params, 2.0, UniformsDouble(0.01, 1 - 2**-53))
+        assert tr.times[0] == gaps[0]
+        assert tr.times[1] == np.nextafter(tr.times[0], np.inf)
+        assert np.all(np.diff(tr.times) > 0)
+        assert len(tr) == 6
+
+    def test_a_tie_at_the_horizon_is_dropped(self):
+        # one ulp past the horizon lies outside the trace
+        out = _enforce_strict_increase(np.array([0.5, 1.0, 1.0]), 1.0)
+        assert out.tolist() == [0.5, 1.0]
 
 
 class TestCountInWindow:

@@ -204,10 +204,11 @@ class TestSimulate:
 
 class TestValidate:
     def test_passes_on_correct_build(self, tmp_path, capsys):
-        assert main(["validate", "--out", str(tmp_path)]) == 0
+        assert main(["validate", "--out", str(tmp_path), "--verbose"]) == 0
         report = (tmp_path / "validation_report.txt").read_text()
         assert report.endswith("result: PASS\n")
         assert "pareto2-shifted-powerlaw-mismatch: expected-mismatch" in report
+        assert capsys.readouterr().err == f"wrote {tmp_path / 'validation_report.txt'}\n"
 
     def test_fails_with_exit_one(self, tmp_path, monkeypatch):
         # an impossible pass bar forces a genuine check failure
@@ -289,8 +290,8 @@ class TestErrorPaths:
     def test_seed_past_the_stream_bound_exits_two_before_any_write(self, command, tmp_path, capsys):
         # every stream is keyed by a seed below 2**64; the config says so before --out is made
         out = tmp_path / "o"
-        # validate reads neither sizing flag, simulate no replications
-        sized = {"validate": [], "simulate": ["--horizon", "10"]}.get(
+        # compare and validate read neither sizing flag, simulate no replications
+        sized = {"compare": [], "validate": [], "simulate": ["--horizon", "10"]}.get(
             command, ["--replications", "2", "--horizon", "10"])
         assert main([command, "--seed", str(2**64), "--out", str(out), *sized]) == 2
         assert "seed must be an integer in [0, 18446744073709551616)" in capsys.readouterr().err
@@ -302,6 +303,8 @@ class TestErrorPaths:
             ("validate", ["--horizon", "10"]),
             ("validate", ["--replications", "2"]),
             ("simulate", ["--replications", "2"]),
+            ("compare", ["--horizon", "5"]),
+            ("compare", ["--replications", "2"]),
         ],
     )
     def test_flag_the_command_does_not_read_exits_two(self, command, flag, tmp_path, capsys):
@@ -341,7 +344,7 @@ class TestErrorPaths:
     def test_sweep_values_that_print_alike_exit_two_before_any_write(self, command, flags, error, tmp_path, capsys):
         # tables, columns and check names carry each value as :g, so one would overwrite the other
         out = tmp_path / "o"
-        assert main([command, *flags, "--replications", "2", "--horizon", "10", "--out", str(out)]) == 2
+        assert main([command, *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {error}; their output names would collide\n"
         assert not out.exists()
 
@@ -373,6 +376,24 @@ class TestFlagPlumbing:
         cfg.write_text("alphas = 0.3,0.5\nfamily = pareto1\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "single alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "run,unread",
+        [
+            ("rate = 2\n", "alphas = 0.3,0.5\nbetas = 1,2\n"),
+            ("family = lomax\nalpha = 0.7\nbeta = 2\n", "rates = 0.3,0.5\n"),
+            ("arrivals = 1,2,3.5\n", "alphas = 0.3,0.5\nbetas = 1,2\nrates = 0.3,0.5\n"),
+        ],
+        ids=["exponential", "lomax", "fixture"],
+    )
+    def test_simulate_ignores_sweep_lists_its_run_does_not_read(self, run, unread, tmp_path):
+        # simulate takes a single value only for the fields of the family's params
+        # type, and a fixture has none, so the other lists may hold many values
+        for name, text in (("plain", run), ("lists", run + unread)):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text)
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        assert output_bytes(tmp_path / "lists") == output_bytes(tmp_path / "plain")
 
 
 class TestSeedEcho:

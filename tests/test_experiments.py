@@ -21,7 +21,7 @@ from arrivalab import (
 import arrivalab.cli
 import arrivalab.experiments
 from arrivalab.cli import main
-from arrivalab.experiments import DEFAULT_VALIDATION_CHECK_COUNT, HOLDING_STREAM_OFFSET
+from arrivalab.experiments import HOLDING_STREAM_OFFSET
 
 FAST = ExperimentConfig(replications=3, horizon=30.0)
 
@@ -38,6 +38,10 @@ class TestSeriesTable:
     def test_rejects_nonincreasing_axis(self):
         with pytest.raises(DomainError):
             SeriesTable("t", "x", np.array([0.0, 0.0]), {}, {})
+
+    def test_rejects_zero_rows(self):
+        with pytest.raises(DomainError, match="at least one row"):
+            SeriesTable("t", "x", np.array([]), {"y": np.array([])}, {})
 
     def test_arrays_frozen(self):
         t = SeriesTable("t", "x", np.array([0.0, 1.0]), {"y": np.array([1.0, 2.0])}, {})
@@ -211,8 +215,10 @@ class TestTailComparison:
 
 class TestValidationSuite:
     def test_default_suite_is_complete_and_green(self):
-        report = run_validation_suite()
-        assert len(report.checks) == DEFAULT_VALIDATION_CHECK_COUNT
+        report = run_validation_suite(ExperimentConfig())
+        # KS (1 exp + 5 pareto1 + 2 lomax), Poisson mean+variance at 3 means,
+        # 3 derivative checks, mismatch flag, normal-approximation monotonicity
+        assert len(report.checks) == 19
         assert report.passed
         names = [c.name for c in report.checks]
         assert "ks-exponential" in names
@@ -220,19 +226,19 @@ class TestValidationSuite:
             assert f"ks-pareto1-a{shape:g}" in names
 
     def test_mismatch_reported_as_expected(self):
-        report = run_validation_suite()
+        report = run_validation_suite(ExperimentConfig())
         entry = next(c for c in report.checks if c.name == "pareto2-shifted-powerlaw-mismatch")
         assert entry.status == "expected-mismatch"
         assert entry.statistic > entry.threshold
 
     def test_poisson_mean_entry_below_threshold(self):
-        report = run_validation_suite()
+        report = run_validation_suite(ExperimentConfig())
         entry = next(c for c in report.checks if c.name == "poisson-mean-m0.9")
         assert entry.status == "pass"
         assert entry.statistic < entry.threshold
 
     def test_render_lists_every_check(self):
-        report = run_validation_suite()
+        report = run_validation_suite(ExperimentConfig())
         text = report.render()
         assert text.count("\n") == len(report.checks) + 2
         assert text.endswith("result: PASS\n")

@@ -1,5 +1,5 @@
-"""The package export list: each module's ``__all__``, once, all resolvable, and every
-name the benchmark tracer wraps still present."""
+"""The package export list: each module's ``__all__``, once, all resolvable, each name
+read somewhere in ``src/``, and every name the benchmark tracer wraps still present."""
 
 import ast
 import importlib
@@ -165,6 +165,16 @@ def test_no_module_imports_a_name_it_does_not_use(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def defined_names(node) -> list[str]:
+    """The names a module-level statement defines: a function's, a class's or its assignment targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def dead_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level ``_name`` definitions (assignments, functions, classes) that no
     module of ``sources`` reads, either by name or by importing it."""
@@ -172,13 +182,7 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
+            names = defined_names(node)
             defined += [(module, node.lineno, n) for n in names if n.startswith("_") and not n.startswith("__")]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -199,3 +203,32 @@ def test_dead_private_names_finds_an_unread_one():
 def test_every_private_module_name_is_read_somewhere_in_src():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted((ROOT / "src" / "arrivalab").glob("*.py"))}
     assert dead_private_names(sources) == []
+
+
+def unread_public_names(sources: dict[str, str]) -> list[str]:
+    """Names in a module's ``__all__`` that no module of ``sources`` reads outside the
+    name's own definition (the ``__all__`` list holds strings, so it reads nothing)."""
+    public, read = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = set(defined_names(node))
+            if own == {"__all__"}:  # string entries only: the package list also splices module lists
+                public += [(module, e.lineno, e.value) for e in node.value.elts if isinstance(e, ast.Constant)]
+            else:
+                read |= {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} - own
+    return [f"{module} line {line}: {name}" for module, line, name in public if name not in read]
+
+
+def test_unread_public_names_finds_an_unread_one():
+    sources = {
+        "a": "__all__ = ['LIMIT', 'SPARE', 'helper', 'walk']\nLIMIT = 3\nSPARE = 4\n"
+             "def helper():\n    return LIMIT\ndef walk(n):\n    return walk(n - 1)\n",
+        "b": "from .a import SPARE, helper\nprint(helper())\n",
+    }
+    # SPARE is only imported, and walk reads itself only inside its own definition
+    assert unread_public_names(sources) == ["a line 1: SPARE", "a line 1: walk"]
+
+
+def test_every_public_name_is_read_somewhere_in_src():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted((ROOT / "src" / "arrivalab").glob("*.py"))}
+    assert unread_public_names(sources) == []

@@ -118,7 +118,7 @@ class TestCrossoverPoint:
         # search at the root returns the root itself
         f = lambda x: pareto1_pdf(x, ParetoOneParams(0.5))
         g = lambda x: exp_pdf(x, ExponentialParams(1.0))
-        x = crossover_point(f, g, 0.0, 100.0, tol=1e-12)
+        x = crossover_point(f, g, 0.0, 100.0)
         slope = abs(f(x + 1e-6) - f(x - 1e-6)) / 2e-6 + abs(g(x + 1e-6) - g(x - 1e-6)) / 2e-6
         assert abs(f(x) - g(x)) <= slope * 1e-9 + 1e-15
         assert crossover_point(f, g, x, 100.0) == x
@@ -126,7 +126,7 @@ class TestCrossoverPoint:
     def test_bisection_tolerance_honored(self):
         f = lambda x: x
         g = lambda x: 1.0
-        x = crossover_point(f, g, 0.0, 10.0, tol=1e-9)
+        x = crossover_point(f, g, 0.0, 10.0)
         assert abs(x - 1.0) < 1e-8
 
     @pytest.mark.parametrize("shape", DEFAULT_SHAPE_SWEEP)
