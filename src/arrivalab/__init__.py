@@ -10,8 +10,8 @@ exports them all.
 
 import os
 
-# nothing here calls BLAS, and an idle OpenBLAS pool busy-waits on a core the
-# forked KS-check workers of validate need; a value the user set still wins
+# nothing here calls BLAS, yet every command runs faster with one OpenBLAS
+# thread than with a pool (README, "Performance"); a value the user set still wins
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import arrivals, distributions, errors, experiments, occupancy, samplers, stats

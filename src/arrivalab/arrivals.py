@@ -17,6 +17,9 @@ from .samplers import FAMILIES, RngStream
 __all__ = ["ArrivalTrace", "generate_trace", "fixed_trace"]
 
 _BLOCK = 1024
+# the most arrivals one trace may hold: 80 MB of times; a horizon that needs
+# more is refused rather than drawn without end
+_MAX_ARRIVALS = 10**7
 
 
 @dataclass(frozen=True)
@@ -61,12 +64,17 @@ def generate_trace(family: str, params, horizon: float, r: RngStream) -> Arrival
 
     chunks = []
     offset = 0.0
+    count = 0
     while True:
         gaps = sampler(r, params, size=_BLOCK)
         with np.errstate(over="ignore"):  # a sum that overflows to inf lies past the horizon
             cs = offset + np.cumsum(gaps)
         keep = int(np.searchsorted(cs, horizon, side="right"))
         chunks.append(cs[:keep])
+        count += keep
+        if count > _MAX_ARRIVALS:
+            raise ParameterError(f"more than {_MAX_ARRIVALS} {family} arrivals fall before the horizon "
+                                 f"{horizon!r}; a trace holds at most {_MAX_ARRIVALS}")
         if keep < _BLOCK:
             break
         offset = float(cs[-1])

@@ -233,31 +233,22 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_share(fn, jobs, start, step):
-    """Results of ``jobs[start::step]`` in order, and ``(index, exception)``
-    of the first job that raised (which ends the share), or None."""
-    results = []
-    for i in range(start, len(jobs), step):
-        try:
-            results.append(fn(*jobs[i]))
-        except Exception as exc:
-            return results, (i, exc)
-    return results, None
-
-
 def _fork_map(fn, jobs: list):
     """``[fn(*job) for job in jobs]``, spread over every usable CPU.
 
     The jobs are dealt round-robin to ``W = min(len(jobs), usable CPUs)``
     workers. Worker 0 is the caller; each other worker is a forked child that
-    pickles its results (or its first exception, with the job's index) into a
-    pipe and leaves through ``os._exit``. The results come back in job order,
-    and a failure raises the exception of the lowest failing job, as the
-    plain loop would, so nothing depends on ``W``. With ``W == 1`` (one CPU,
-    one job, or no ``os.fork``) the caller runs every job itself.
+    pickles its list of results into a pipe, or exits with status 1 if a job
+    raises, and leaves through ``os._exit``. The results come back in job
+    order. On any failure (a job raising in the caller, a child's non-zero
+    status, results that cannot be read) the caller stops and reaps every
+    child, then runs the plain loop, so a failure raises what the loop raises
+    and nothing depends on ``W``. With ``W == 1`` (one CPU, one job, or no
+    ``os.fork``) the caller runs every job itself.
 
-    Jobs must be independent: a child's writes to shared state stay in the
-    child, and only the pickled results come back.
+    Jobs must be deterministic and independent: a failure runs them all
+    again, a child's writes to shared state stay in the child, and only the
+    pickled results come back.
     """
     workers = max(1, min(len(jobs), _usable_cpus())) if hasattr(os, "fork") else 1
     children = {}  # pid -> read end of its pipe, until it is reaped
@@ -270,31 +261,32 @@ def _fork_map(fn, jobs: list):
                 try:
                     os.close(read_fd)
                     with open(write_fd, "wb") as pipe:
-                        pickle.dump(_run_share(fn, jobs, w, workers), pipe, pickle.HIGHEST_PROTOCOL)
+                        pickle.dump([fn(*job) for job in jobs[w::workers]], pipe, pickle.HIGHEST_PROTOCOL)
                     code = 0
                 finally:
                     os._exit(code)  # never return into the caller's stack
             os.close(write_fd)
             children[pid] = open(read_fd, "rb")
-        shares = [_run_share(fn, jobs, 0, workers)]
+        shares = [[fn(*job) for job in jobs[::workers]]]
         for pid, pipe in list(children.items()):
             with pipe:
                 data = pipe.read()  # to EOF before waiting, so a full pipe cannot block the child
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            status = os.waitpid(pid, 0)[1]
             del children[pid]
-            if code != 0 or not data:
-                raise RuntimeError(f"worker process {pid} exited with status {code} without sending its results")
+            if status:
+                raise ChildProcessError(f"worker process {pid} failed with wait status {status}")
             shares.append(pickle.loads(data))
+    except Exception:  # a job raised, a worker failed or its results could not be read
+        shares = None
     finally:
-        for pid, pipe in children.items():  # the caller failed first: stop and reap the rest
+        for pid, pipe in children.items():  # a failure came first: stop and reap the rest
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    failures = [error for _, error in shares if error is not None]
-    if failures:
-        raise min(failures, key=lambda error: error[0])[1]
+    if shares is None:  # run outside the handler, so what the loop raises carries no context
+        return [fn(*job) for job in jobs]
     out = [None] * len(jobs)
-    for w, (results, _) in enumerate(shares):
+    for w, results in enumerate(shares):
         out[w::workers] = results
     return out
 

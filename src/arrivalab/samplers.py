@@ -49,13 +49,13 @@ SMALLEST_UNIFORM = 2.0**-54
 class RngStream:
     """Replayable uniform source: Philox keyed by ``(seed, stream_id)``.
 
-    Uniforms are ``(k + 1/2) / 2**53`` for a 53-bit ``k``, rounded to float64.
+    Uniforms are ``k / 2**53 + 2**-54`` for a 53-bit ``k``, rounded to float64.
     The smallest is ``SMALLEST_UNIFORM``, so inverse transforms never see 0,
     and a continuous variate is finite unless the law's inverse transform
     there overflows to ``inf``: ``LocationConfig`` rejects such holding laws
     up front, and an infinite arrival gap only ends its trace. (From
-    ``k = 2**52`` up, ``k + 1/2`` rounds to an integer, so ``k = 2**53 - 1``
-    gives exactly 1, and a variate of 0.)
+    ``k = 2**52`` up, the sum lies halfway between two float64 and rounds to
+    even, so ``k = 2**53 - 1`` gives exactly 1, and a variate of 0.)
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -66,11 +66,7 @@ class RngStream:
 
     def uniform_open(self, size=None):
         """Uniform draw(s) on the open interval (0, 1)."""
-        k = self._gen.integers(0, 1 << 53, size=size, dtype=np.uint64)
-        u = (k.astype(np.float64) + 0.5) * 2.0**-53
-        if size is None:
-            return float(u)
-        return u
+        return self._gen.random(size) + SMALLEST_UNIFORM
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

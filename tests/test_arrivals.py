@@ -16,6 +16,7 @@ from arrivalab import (
     generate_trace,
     poisson_pmf,
 )
+from arrivalab import arrivals
 from arrivalab.arrivals import _enforce_strict_increase
 from arrivalab.csvio import write_trace_csv
 
@@ -88,6 +89,18 @@ class TestGenerateTrace:
         with pytest.raises(DomainError, match="finite"):
             fixed_trace([1.0], horizon=math.inf)
 
+
+    @pytest.mark.parametrize("bound", [1000, 2048, 2500])
+    def test_a_trace_past_the_arrival_bound_is_refused(self, bound, monkeypatch):
+        monkeypatch.setattr(arrivals, "_MAX_ARRIVALS", bound)
+        with pytest.raises(ParameterError, match=f"^more than {bound} exponential arrivals fall "
+                                                 f"before the horizon 1000.0; a trace holds at most {bound}$"):
+            exp_trace(0, rate=10.0)  # about 10,000 arrivals
+
+    def test_a_trace_at_the_arrival_bound_is_kept(self, monkeypatch):
+        n = len(exp_trace(0, rate=10.0))
+        monkeypatch.setattr(arrivals, "_MAX_ARRIVALS", n)
+        assert len(exp_trace(0, rate=10.0)) == n
 
 class UniformsDouble:
     """Stands in for an RngStream: its first block starts with ``head``, and 0.5 fills the rest."""

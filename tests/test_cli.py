@@ -186,6 +186,18 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: holding law exponential")
         assert not out.exists()
 
+    def test_trace_past_the_arrival_bound_exits_two_before_any_write(self, tmp_path):
+        # gaps of about 1e-300 never reach the horizon; the trace stops at the bound
+        out = tmp_path / "o"
+        args = ["simulate", "--rate", "1e300", "--horizon", "1", "--out", str(out)]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run([sys.executable, "-m", "arrivalab.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("error: more than 10000000 exponential arrivals fall before the horizon 1.0; "
+                               "a trace holds at most 10000000\n")
+        assert not out.exists()
+
     def test_infinite_arrival_gap_ends_the_trace_without_a_warning(self, tmp_path, capsys):
         args = ["sweep-rate", "--horizon", "1e308", "--rate", "1e-306", "--holding-rate", "1e-306"]
         assert main([*args, "--replications", "1", "--out", str(tmp_path)]) == 0

@@ -232,3 +232,48 @@ def test_unread_public_names_finds_an_unread_one():
 def test_every_public_name_is_read_somewhere_in_src():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted((ROOT / "src" / "arrivalab").glob("*.py"))}
     assert unread_public_names(sources) == []
+
+
+PROCESS_CALLS = {"fork", "_exit", "pipe", "waitpid", "kill"}
+
+
+def process_management_outside(sources: dict[str, str]) -> list[str]:
+    """Uses of ``os.fork``, ``os._exit``, ``os.pipe``, ``os.waitpid``, ``os.kill`` and
+    ``pickle`` in ``sources`` outside ``experiments._fork_map`` (``import pickle``
+    counts as a use outside ``experiments.py`` only)."""
+    found = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            if module == "experiments.py" and (getattr(top, "name", None) == "_fork_map" or isinstance(top, ast.Import)):
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    use = node.id == "pickle"
+                elif isinstance(node, ast.Attribute):
+                    use = getattr(node.value, "id", None) == "os" and node.attr in PROCESS_CALLS
+                elif isinstance(node, ast.Import):
+                    use = any(alias.name == "pickle" for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    use = node.module == "pickle" or (
+                        node.module == "os" and any(alias.name in PROCESS_CALLS for alias in node.names))
+                else:
+                    use = False
+                if use:
+                    found.append(f"{module} line {node.lineno}")
+    return found
+
+
+def test_process_management_outside_finds_a_stray_use():
+    sources = {
+        "experiments.py": "import os\nimport pickle\ndef _fork_map():\n    os.fork()\n    pickle.loads(b'')\n"
+                          "def other():\n    os.kill(1, 9)\n    os.getpid()\n",
+        "cli.py": "import pickle\nfrom os import waitpid\nfrom os import path\nx = pickle.dumps(1)\ny = [pickle]\n",
+    }
+    assert process_management_outside(sources) == [
+        "experiments.py line 7", "cli.py line 1", "cli.py line 2", "cli.py line 4", "cli.py line 5",
+    ]
+
+
+def test_process_management_lives_only_in_the_fork_map():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted((ROOT / "src" / "arrivalab").glob("*.py"))}
+    assert process_management_outside(sources) == []

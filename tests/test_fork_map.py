@@ -84,41 +84,57 @@ def test_lowest_failing_job_raises_its_exception(count, failing, first, workers)
         _fork_map(job, [(i,) for i in range(7)])
 
 
-@pytest.mark.parametrize("count", [2, 3])
-def test_child_that_dies_without_results_raises_its_status(count, workers):
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_unpicklable_exception_is_raised_as_itself(count, workers):
     workers(count)
-
-    def job(i):
-        if i == 1:  # dealt to worker 1, a child, for two or more workers
-            os._exit(3)
-        return i
-
-    with pytest.raises(RuntimeError, match="exited with status 3 without sending its results"):
-        _fork_map(job, [(i,) for i in range(6)])
-
-
-def test_caller_failure_still_reaps_every_child(workers):
-    workers(3)
-
-    def job(i):
-        if i == 0:
-            raise KeyboardInterrupt  # not a job failure: it ends the map at once
-        return i
-
-    with pytest.raises(KeyboardInterrupt):
-        _fork_map(job, [(i,) for i in range(6)])
-
-
-def test_child_whose_exception_cannot_be_pickled_fails_with_its_status(workers):
-    workers(2)
 
     class LocalError(Exception):  # a local class cannot be pickled by reference
         pass
 
     def job(i):
-        if i == 1:
+        if i == 1:  # dealt to worker 1, a child, for two or more workers
             raise LocalError("job 1")
         return i
 
-    with pytest.raises(RuntimeError, match="exited with status 1 without sending its results"):
+    with pytest.raises(LocalError, match="^job 1$") as raised:
         _fork_map(job, [(i,) for i in range(4)])
+    assert raised.value.__context__ is None  # as the plain loop raises it, not during a handler
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("failure", ["dies", "raises"])
+def test_job_that_fails_only_in_a_child_still_yields_every_result(failure, count, workers):
+    forks = workers(count)
+    caller = os.getpid()
+
+    def job(i):
+        if i == 1 and os.getpid() != caller:  # job 1 goes to a child for two or more workers
+            if failure == "dies":
+                os._exit(3)
+            raise ParameterError("job 1 failed in a child")
+        return i, os.getpid()
+
+    # the failed child's share, and every other, is run again in the caller
+    assert _fork_map(job, [(i,) for i in range(6)]) == [(i, caller) for i in range(6)]
+    assert len(forks) == count - 1
+
+
+def test_caller_failure_still_reaps_every_child(workers):
+    def job(i):
+        if i == 0:
+            raise KeyboardInterrupt  # not a job failure: it ends the map at once, with no rerun
+        return i
+
+    for count in (1, 2, 3):
+        workers(count)
+        with pytest.raises(KeyboardInterrupt):
+            _fork_map(job, [(i,) for i in range(6)])
+        with pytest.raises(ChildProcessError):  # no child left, not even before the test ends
+            os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpu_count, usable", [(5, 5), (None, 1)])
+def test_usable_cpus_without_affinity_masks_is_the_cpu_count(cpu_count, usable, monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert experiments._usable_cpus() == usable

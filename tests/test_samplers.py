@@ -22,6 +22,7 @@ from arrivalab import (
 )
 from arrivalab.samplers import (
     FAMILIES,
+    SMALLEST_UNIFORM,
     exponential_from_uniform,
     lomax_from_uniform,
     pareto1_from_uniform,
@@ -47,6 +48,30 @@ class TestRngStream:
 
     def test_scalar_draw_matches_first_vector_draw(self):
         assert RngStream(5, 5).uniform_open() == RngStream(5, 5).uniform_open(3)[0]
+
+    @staticmethod
+    def integer_uniforms(k):
+        """The uniforms' earlier expression: a 53-bit integer ``k``, plus a half, over 2**53."""
+        return (np.asarray(k, dtype=np.uint64).astype(np.float64) + 0.5) * 2.0**-53
+
+    @pytest.mark.parametrize("seed,stream_id", [(0, 0), (42, 7), (3, 2**33), (2**64 - 1, 2**64 - 1)])
+    @pytest.mark.parametrize("size", [None, 1, 1000])
+    def test_uniforms_equal_the_integer_expression_on_a_twin_generator(self, seed, stream_id, size):
+        stream = RngStream(seed, stream_id)
+        key = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
+        twin = np.random.Generator(np.random.Philox(key))
+        for _ in range(3):  # the twin stays in step from draw to draw
+            u = stream.uniform_open(size)
+            k = twin.integers(0, 1 << 53, size=size, dtype=np.uint64)
+            assert np.asarray(u).tobytes() == self.integer_uniforms(k).tobytes()
+            assert isinstance(u, float) == (size is None)
+
+    def test_uniforms_equal_the_integer_expression_at_the_edge_k_values(self):
+        # random() returns k / 2**53; from k = 2**52 up both forms are ties that round to even
+        k = np.array([0, 1, 2, 2**52 - 1, 2**52, 2**52 + 1, 2**52 + 2, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+        u = k.astype(np.float64) * 2.0**-53 + SMALLEST_UNIFORM
+        assert u.tobytes() == self.integer_uniforms(k).tobytes()
+        assert u[0] == SMALLEST_UNIFORM and u[-1] == 1.0
 
     @pytest.mark.parametrize("seed,stream_id", [(-1, 0), (0, -3), (2**64, 0), (1.5, 0)])
     def test_rejects_bad_keys(self, seed, stream_id):
