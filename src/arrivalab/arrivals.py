@@ -1,8 +1,9 @@
 """Arrival traces: renewal processes with i.i.d. gaps on a finite horizon.
 
 Exponential gaps recover the Poisson counting process exactly; Pareto/Lomax
-gaps give the heavy-tailed, bursty alternative. A trace records its family,
-seed and stream id for the CSV provenance.
+gaps give the heavy-tailed, bursty alternative. A trace holds only its times
+and horizon; what a CSV says about its family, seed and stream comes from the
+caller (see ``csvio.write_trace_csv``).
 """
 
 from __future__ import annotations
@@ -24,13 +25,10 @@ _MAX_ARRIVALS = 10**7
 
 @dataclass(frozen=True)
 class ArrivalTrace:
-    """Strictly increasing arrival instants in [0, horizon], plus provenance."""
+    """Strictly increasing arrival instants in (0, horizon]."""
 
     times: np.ndarray
     horizon: float
-    family: str
-    seed: int = 0
-    stream_id: int = 0
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)  # own copy, then frozen
@@ -79,7 +77,7 @@ def generate_trace(family: str, params, horizon: float, r: RngStream) -> Arrival
             break
         offset = float(cs[-1])
     times = _enforce_strict_increase(np.concatenate(chunks), horizon)
-    return ArrivalTrace(times, float(horizon), family, r.seed, r.stream_id)
+    return ArrivalTrace(times, float(horizon))
 
 
 def fixed_trace(times, horizon: float | None = None) -> ArrivalTrace:
@@ -89,7 +87,7 @@ def fixed_trace(times, horizon: float | None = None) -> ArrivalTrace:
         if arr.size == 0:
             raise DomainError("fixed_trace needs a horizon when no times are given")
         horizon = float(arr[-1])
-    return ArrivalTrace(arr, float(horizon), "fixed")
+    return ArrivalTrace(arr, float(horizon))
 
 
 def _enforce_strict_increase(times: np.ndarray, horizon: float) -> np.ndarray:

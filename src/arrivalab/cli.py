@@ -27,7 +27,7 @@ from .experiments import (
     run_tail_comparison,
     run_validation_suite,
 )
-from .occupancy import HOLDING_FAMILIES, simulate_occupancy
+from .occupancy import HOLDING_FAMILIES, blocking_fraction, simulate_occupancy
 from .samplers import FAMILIES, RngStream
 
 __all__ = ["main", "load_config_file", "KNOWN_CONFIG_KEYS"]
@@ -118,11 +118,9 @@ def _resolve(args) -> tuple[ExperimentConfig, dict]:
 
 
 def _prepare_outdir(args) -> Path:
+    """Make ``--out``; every command calls this after its run, so a refused run leaves none."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    probe = out / ".write-probe"
-    probe.write_text("")
-    probe.unlink()
     return out
 
 
@@ -137,8 +135,9 @@ def _finish(args, outdir: Path, paths: list[Path], seed: int) -> None:
 def _cmd_tables(args) -> int:
     """sweep-alpha, sweep-rate and compare: write the tables of the bound runner."""
     cfg, _ = _resolve(args)
+    tables = args.run(cfg)
     outdir = _prepare_outdir(args)
-    paths = [write_table_csv(outdir / f"{table.name}.csv", table) for table in args.run(cfg)]
+    paths = [write_table_csv(outdir / f"{table.name}.csv", table) for table in tables]
     _finish(args, outdir, paths, cfg.seed)
     print(f"{args.command}: {len(paths)} tables -> {outdir} (seed {cfg.seed})")
     return 0
@@ -188,23 +187,21 @@ def _cmd_simulate(args) -> int:
     }
     outdir = _prepare_outdir(args)
     paths = [
-        write_trace_csv(outdir / "trace.csv", trace, prov),
+        write_trace_csv(outdir / "trace.csv", trace, {**prov, "stream_id": "0"}),  # the stream the trace draws from
         write_occupancy_csv(outdir / "occupancy.csv", series, prov),
     ]
     _finish(args, outdir, paths, cfg.seed)
-    total = series.admitted + series.blocked
-    frac = series.blocked / total if total else float("nan")
     print(
-        f"simulate: arrivals={total} admitted={series.admitted} blocked={series.blocked} "
-        f"blocking_fraction={frac:.6g} -> {outdir}"
+        f"simulate: arrivals={len(trace)} admitted={series.admitted} blocked={series.blocked} "
+        f"blocking_fraction={blocking_fraction(series):.6g} -> {outdir}"
     )
     return 0
 
 
 def _cmd_validate(args) -> int:
     cfg, _ = _resolve(args)
-    outdir = _prepare_outdir(args)
     report = run_validation_suite(cfg)
+    outdir = _prepare_outdir(args)
     path = outdir / "validation_report.txt"
     header = "".join(f"# {k}={v}\n" for k, v in _run_provenance("validate", cfg.seed).items())
     path.write_text(header + report.render(), **_UTF8, newline="\n")

@@ -64,33 +64,22 @@ def write_table_csv(path, table: SeriesTable) -> Path:
                       ",".join([_FLOAT] * len(cols)) + "\n", *cols)
 
 
-def write_trace_csv(path, trace: ArrivalTrace, provenance: dict[str, str] | None = None) -> Path:
-    """Arrival trace as ``index,time`` rows."""
-    prov = dict(provenance or {})
-    prov.setdefault("family", trace.family)
-    prov.setdefault("horizon", repr(trace.horizon))
-    prov.setdefault("seed", str(trace.seed))
-    prov.setdefault("stream_id", str(trace.stream_id))
-    prov.setdefault("count", str(len(trace)))
+def write_trace_csv(path, trace: ArrivalTrace, provenance: dict[str, str]) -> Path:
+    """Arrival trace as ``index,time`` rows under the caller's provenance plus its ``count``."""
+    prov = {**provenance, "count": str(len(trace))}
     return _write_csv(path, prov, "index,time", f"%d,{_FLOAT}\n", np.arange(len(trace)), trace.times)
 
 
-def write_occupancy_csv(path, series: OccupancySeries, provenance: dict[str, str] | None = None) -> Path:
+def write_occupancy_csv(path, series: OccupancySeries, provenance: dict[str, str]) -> Path:
     """Occupancy step function as ``time,count`` rows plus a summary block.
 
-    The summary (peak, time-average, blocking fraction) rides along as
-    comment lines so the data rows stay a plain two-column table.
+    The summary (peak, time-average, blocking fraction) follows the caller's
+    provenance as comment lines, so the data rows stay a plain two-column table.
     """
     ps = peak_stats(series)
-    total = series.admitted + series.blocked
-    prov = dict(provenance or {})
-    prov["admitted"] = str(series.admitted)
-    prov["blocked"] = str(series.blocked)
-    prov["end_time"] = _FLOAT % series.end_time
-    prov["peak_count"] = str(ps.peak_count)
-    prov["peak_time"] = _FLOAT % ps.peak_time
-    prov["mean_occupancy"] = _FLOAT % ps.mean_occupancy
-    prov["blocking_fraction"] = _FLOAT % blocking_fraction(series) if total else "nan"
+    prov = dict(provenance, admitted=str(series.admitted), blocked=str(series.blocked),
+                end_time=_FLOAT % series.end_time, peak_count=str(ps.peak_count), peak_time=_FLOAT % ps.peak_time,
+                mean_occupancy=_FLOAT % ps.mean_occupancy, blocking_fraction=_FLOAT % blocking_fraction(series))
     return _write_csv(path, prov, "time,count", f"{_FLOAT},%d\n", series.breakpoints, series.counts)
 
 

@@ -46,6 +46,7 @@ from .occupancy import INFINITE_HOLD, LocationConfig, blocking_fraction, peak_st
 from .samplers import (
     _U64_MAX,
     RngStream,
+    _check_largest_draw,
     sample_exponential,
     sample_lomax,
     sample_pareto1,
@@ -255,7 +256,12 @@ def _fork_map(fn, jobs: list):
     try:
         for w in range(1, workers):
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # no child to hand the pipe to
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
             if pid == 0:
                 code = 1
                 try:
@@ -292,12 +298,12 @@ def _fork_map(fn, jobs: list):
 
 
 def _replication_summary(cfg: ExperimentConfig, loc: LocationConfig, family: str, params, rep: int):
-    """Peak, time-average occupancy and blocking fraction (None for an empty
+    """Peak, time-average occupancy and blocking fraction (NaN for an empty
     trace) of one sweep replication, on its own arrival and holding streams."""
     trace = generate_trace(family, params, cfg.horizon, RngStream(cfg.seed, rep))
     series = simulate_occupancy(trace, loc, RngStream(cfg.seed, HOLDING_STREAM_OFFSET + rep))
     ps = peak_stats(series)
-    return ps.peak_count, ps.mean_occupancy, blocking_fraction(series) if len(trace) else None
+    return ps.peak_count, ps.mean_occupancy, blocking_fraction(series)
 
 
 def _occupancy_summary(cfg: ExperimentConfig, axis: str, family: str, cells) -> SeriesTable:
@@ -305,15 +311,15 @@ def _occupancy_summary(cfg: ExperimentConfig, axis: str, family: str, cells) -> 
     cell, the mean peak, mean time-average occupancy and mean blocking
     fraction over the replications (replication index = stream id).
 
-    Replications with an empty trace have no blocking fraction and are left
-    out of its mean; a cell with none left reads NaN.
+    Replications with an empty trace have a NaN blocking fraction, which is
+    left out of its mean; a cell with none left reads NaN.
     """
     loc = cfg.location()
     summaries = []
     for _, params in cells:
         peaks, means, blocks = zip(*(_replication_summary(cfg, loc, family, params, rep)
                                      for rep in range(cfg.replications)))
-        blocks = [b for b in blocks if b is not None]
+        blocks = [b for b in blocks if not np.isnan(b)]
         block_mean = float(np.mean(blocks)) if blocks else float("nan")
         summaries.append((float(np.mean(peaks)), float(np.mean(means)), block_mean))
     prov = _base_provenance(cfg, f"sweep-{axis}", cell="occupancy-summary", family=family)
@@ -511,15 +517,17 @@ def run_validation_suite(cfg: ExperimentConfig) -> ValidationReport:
     # cells are built per call, not at import, so a name rebound on this
     # module after import (a wrapper, a test double) is the one called
     ks_cells = [
-        ("ks-exponential", sample_exponential, ExponentialParams(cfg.exp_rate), exp_cdf),
-        *((f"ks-pareto1-a{a:g}", sample_pareto1, ParetoOneParams(a), pareto1_cdf) for a in cfg.alphas),
+        ("ks-exponential", "exponential", sample_exponential, ExponentialParams(cfg.exp_rate), exp_cdf),
+        *((f"ks-pareto1-a{a:g}", "pareto1", sample_pareto1, ParetoOneParams(a), pareto1_cdf) for a in cfg.alphas),
         *(
-            (f"ks-lomax-a{a:g}-b{b:g}", sample_lomax, ParetoTwoParams(a, b), lomax_cdf)
+            (f"ks-lomax-a{a:g}-b{b:g}", "lomax", sample_lomax, ParetoTwoParams(a, b), lomax_cdf)
             for a, b in VALIDATION_LOMAX_CELLS
         ),
     ]
+    for name, family, _, params, _ in ks_cells:  # an infinite draw fails EmpiricalSample's checks
+        _check_largest_draw(family, params, f"{name} samples {family} {params}, which can draw inf")
     # block ids are taken in cell order, one per cell, before any check runs
-    checks = _fork_map(_ks_repetition_check, [(cfg, name, next(blocks), *cell) for name, *cell in ks_cells])
+    checks = _fork_map(_ks_repetition_check, [(cfg, name, next(blocks), *cell) for name, _, *cell in ks_cells])
 
     for m in POISSON_MOMENT_MEANS:
         draws = sample_poisson_count(_stream(cfg, next(blocks)), PoissonParams(m), size=MOMENT_SAMPLE_SIZE)

@@ -19,7 +19,7 @@ import numpy as np
 from .arrivals import ArrivalTrace
 from .distributions import _integer
 from .errors import DomainError, ParameterError
-from .samplers import FAMILIES, SMALLEST_UNIFORM, RngStream
+from .samplers import FAMILIES, RngStream, _check_largest_draw
 
 __all__ = [
     "HOLDING_FAMILIES",
@@ -56,17 +56,11 @@ class LocationConfig:
             return
         if fam not in HOLDING_FAMILIES:
             raise ParameterError(f"unknown holding family {fam!r}; expected one of {HOLDING_FAMILIES}")
-        _, want, inverse = FAMILIES[fam]
+        want = FAMILIES[fam][1]
         params = self.holding_params if self.holding_params is not None else want(1.0)
         if not isinstance(params, want):
             raise ParameterError(f"holding family {fam!r} needs {want.__name__}, got {type(params).__name__}")
-        with np.errstate(over="ignore"):
-            largest = float(inverse(SMALLEST_UNIFORM, params))
-        if not math.isfinite(largest):
-            raise ParameterError(
-                f"holding law {fam} {params} can draw an infinite hold: its largest draw, at the "
-                f"smallest stream uniform 2**-54, must not exceed the float maximum {sys.float_info.max:.6g}"
-            )
+        _check_largest_draw(fam, params, f"holding law {fam} {params} can draw an infinite hold")
         object.__setattr__(self, "holding_params", params)
 
 
@@ -201,8 +195,7 @@ def peak_stats(s: OccupancySeries) -> PeakStats:
 
 
 def blocking_fraction(s: OccupancySeries) -> float:
-    """Blocked over total arrivals; the congestion measure of the loss system."""
+    """Blocked over total arrivals; the congestion measure of the loss system.
+    NaN for a series with no arrivals, which has no fraction to report."""
     total = s.admitted + s.blocked
-    if total == 0:
-        raise DomainError("blocking fraction undefined for a series with no arrivals")
-    return s.blocked / total
+    return s.blocked / total if total else math.nan

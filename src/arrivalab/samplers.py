@@ -11,6 +11,7 @@ handed to parallel replications.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -52,10 +53,11 @@ class RngStream:
     Uniforms are ``k / 2**53 + 2**-54`` for a 53-bit ``k``, rounded to float64.
     The smallest is ``SMALLEST_UNIFORM``, so inverse transforms never see 0,
     and a continuous variate is finite unless the law's inverse transform
-    there overflows to ``inf``: ``LocationConfig`` rejects such holding laws
-    up front, and an infinite arrival gap only ends its trace. (From
-    ``k = 2**52`` up, the sum lies halfway between two float64 and rounds to
-    even, so ``k = 2**53 - 1`` gives exactly 1, and a variate of 0.)
+    there overflows to ``inf``: ``LocationConfig`` and the validation suite
+    reject such laws up front (``_check_largest_draw``), and an infinite
+    arrival gap only ends its trace. (From ``k = 2**52`` up, the sum lies
+    halfway between two float64 and rounds to even, so ``k = 2**53 - 1``
+    gives exactly 1, and a variate of 0.)
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -73,10 +75,13 @@ class RngStream:
 
 
 # --- inverse transforms (pure, unit-testable against closed forms) -----------
+# A value that overflows is inf, without a warning; the caller decides what an
+# infinite variate means (see ``_check_largest_draw``).
 
 def exponential_from_uniform(u, p: ExponentialParams):
     """Map uniform u in (0, 1) to an exponential variate ``-ln(u) / rate``."""
-    return -np.log(u) / p.rate
+    with np.errstate(over="ignore"):
+        return -np.log(u) / p.rate
 
 
 def lomax_from_uniform(u, p: ParetoTwoParams):
@@ -86,7 +91,8 @@ def lomax_from_uniform(u, p: ParetoTwoParams):
     Inverts the CDF: u -> 0 gives the deep tail, u -> 1 gives the support
     infimum 0.
     """
-    return p.scale * (np.power(u, -1.0 / p.shape) - 1.0)
+    with np.errstate(over="ignore"):
+        return p.scale * (np.power(u, -1.0 / p.shape) - 1.0)
 
 
 # --- samplers ----------------------------------------------------------------
@@ -117,6 +123,14 @@ FAMILIES = {
     "pareto1": (sample_pareto1, ParetoOneParams, pareto1_from_uniform),
     "lomax": (sample_lomax, ParetoTwoParams, lomax_from_uniform),
 }
+
+
+def _check_largest_draw(family: str, params, claim: str) -> None:
+    """Raise ``ParameterError`` with ``claim`` if the largest draw of ``family`` at
+    ``params``, its inverse transform at ``SMALLEST_UNIFORM``, overflows to inf."""
+    if not math.isfinite(float(FAMILIES[family][2](SMALLEST_UNIFORM, params))):
+        raise ParameterError(f"{claim}: its largest draw, at the smallest stream uniform 2**-54, "
+                             f"must not exceed the float maximum {sys.float_info.max:.6g}")
 
 
 def sample_poisson_count(r: RngStream, p: PoissonParams, size=None):

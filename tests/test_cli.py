@@ -28,6 +28,14 @@ def fast_args(out):
     return ["--out", str(out), "--replications", "2", "--horizon", "10"]
 
 
+def run_cli(args) -> subprocess.CompletedProcess:
+    """The CLI in its own process, where numpy's warnings reach stderr as text
+    (in process, the ``error::RuntimeWarning`` filter raises them instead)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    return subprocess.run([sys.executable, "-m", "arrivalab.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestSweepAlpha:
     def test_default_manifest_lists_five_cells(self, tmp_path):
         assert main(["sweep-alpha", *fast_args(tmp_path)]) == 0
@@ -157,7 +165,8 @@ class TestSimulate:
     def test_empty_fixture_with_horizon_is_an_empty_run(self, form, tmp_path, capsys):
         args = self.empty_fixture_args(form, tmp_path)
         assert main(["simulate", *args, "--horizon", "5", "--out", str(tmp_path / "o")]) == 0
-        assert "simulate: arrivals=0 admitted=0 blocked=0" in capsys.readouterr().out
+        assert "simulate: arrivals=0 admitted=0 blocked=0 blocking_fraction=nan" in capsys.readouterr().out
+        assert provenance(tmp_path / "o" / "occupancy.csv")["blocking_fraction"] == "nan"
         trace = provenance(tmp_path / "o" / "trace.csv")
         assert (trace["family"], trace["params"], trace["horizon"]) == ("fixed", "times=", "5.0")
 
@@ -187,16 +196,26 @@ class TestSimulate:
         assert not out.exists()
 
     def test_trace_past_the_arrival_bound_exits_two_before_any_write(self, tmp_path):
-        # gaps of about 1e-300 never reach the horizon; the trace stops at the bound
-        out = tmp_path / "o"
-        args = ["simulate", "--rate", "1e300", "--horizon", "1", "--out", str(out)]
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-        proc = subprocess.run([sys.executable, "-m", "arrivalab.cli", *args], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr == ("error: more than 10000000 exponential arrivals fall before the horizon 1.0; "
-                               "a trace holds at most 10000000\n")
-        assert not out.exists()
+        # gaps of about 1e-300 never reach the horizon; the trace stops at the bound.
+        # A KS shape whose largest draw overflows is refused before any check runs.
+        # Every command makes --out only after its run, so neither leaves one behind
+        cfg = tmp_path / "tiny-shape.cfg"
+        cfg.write_text("alphas = 0.01\n")
+        bound = ("error: more than 10000000 exponential arrivals fall before the horizon 1.0; "
+                 "a trace holds at most 10000000\n")
+        shape = ("error: ks-pareto1-a0.01 samples pareto1 ParetoOneParams(shape=0.01), which can draw inf: "
+                 "its largest draw, at the smallest stream uniform 2**-54, must not exceed the float maximum "
+                 "1.79769e+308\n")
+        for args, error in [
+            (["simulate", "--rate", "1e300", "--horizon", "1"], bound),
+            (["sweep-rate", "--rate", "1e300", "--horizon", "1", "--replications", "1"], bound),
+            (["validate", "--config", str(cfg)], shape),
+        ]:
+            out = tmp_path / args[0]
+            proc = run_cli([*args, "--out", str(out)])
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr == error
+            assert not out.exists()
 
     def test_infinite_arrival_gap_ends_the_trace_without_a_warning(self, tmp_path, capsys):
         args = ["sweep-rate", "--horizon", "1e308", "--rate", "1e-306", "--holding-rate", "1e-306"]
@@ -555,6 +574,24 @@ class TestConfigResolution:
         assert main(["simulate", "--family", "pareto1", "--alpha", "0.3", "--alpha", "0.5",
                      "--out", str(tmp_path)]) == 2
         assert "single alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep-alpha", "--horizon", "10", "--replications", "1"],
+        ["sweep-rate", "--horizon", "10", "--replications", "1"],
+        ["compare", "--x-max", "5"],
+        ["simulate", "--horizon", "10"],
+        ["validate"],
+        # at seed 0 a shape-0.01 gap overflows to inf, which only ends its trace
+        ["sweep-alpha", "--alpha", "0.01", "--horizon", "10", "--replications", "1", "--seed", "0"],
+    ],
+    ids=["sweep-alpha", "sweep-rate", "compare", "simulate", "validate", "sweep-alpha-tiny-shape"],
+)
+def test_command_writes_nothing_on_stderr(args, tmp_path):
+    proc = run_cli([*args, "--out", str(tmp_path)])
+    assert proc.returncode == 0 and proc.stderr == ""
 
 
 class TestLocaleIndependence:

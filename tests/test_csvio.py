@@ -60,9 +60,9 @@ def increasing_times(n: int, seed: int) -> np.ndarray:
 def test_trace_rows_match_per_value_format(n, tmp_path):
     times = increasing_times(n, seed=n)
     horizon = float(times[-1]) if n else 1.0
-    trace = ArrivalTrace(times, horizon, "fixed")
+    trace = ArrivalTrace(times, horizon)
     expected = "".join(f"{i},{old_float(t)}\n" for i, t in enumerate(times))
-    assert written_rows(lambda: write_trace_csv(tmp_path / "trace.csv", trace), "index,time") == expected
+    assert written_rows(lambda: write_trace_csv(tmp_path / "trace.csv", trace, {}), "index,time") == expected
 
 
 @pytest.mark.parametrize("n", ROW_COUNTS)
@@ -72,7 +72,7 @@ def test_occupancy_rows_match_per_value_format(n, tmp_path):
     end_time = float(breakpoints[-1]) + 1.0 if n else 1.0
     series = OccupancySeries(breakpoints, counts, admitted=n, blocked=0, end_time=end_time)
     expected = "".join(f"{old_float(t)},{c}\n" for t, c in zip(breakpoints, counts.tolist()))
-    rows = written_rows(lambda: write_occupancy_csv(tmp_path / "occupancy.csv", series), "time,count")
+    rows = written_rows(lambda: write_occupancy_csv(tmp_path / "occupancy.csv", series, {}), "time,count")
     assert rows == expected
 
 

@@ -151,6 +151,23 @@ class TestAlphaSweep:
 
 
 class TestRateSweep:
+    def test_blocking_mean_leaves_out_replications_without_arrivals(self):
+        # over half a time unit, rate 1 leaves some traces empty and rate 1e-9 all of them
+        from arrivalab import ExponentialParams, blocking_fraction, generate_trace, simulate_occupancy
+
+        cfg = ExperimentConfig(rates=(1e-9, 1.0), horizon=0.5, replications=8, node_budget=1)
+        summary = table_by_name(run_rate_sweep(cfg), "rate_occupancy")
+        fracs = [
+            blocking_fraction(simulate_occupancy(
+                generate_trace("exponential", ExponentialParams(1.0), 0.5, RngStream(cfg.seed, rep)),
+                cfg.location(), RngStream(cfg.seed, HOLDING_STREAM_OFFSET + rep)))
+            for rep in range(cfg.replications)
+        ]
+        kept = [f for f in fracs if not math.isnan(f)]
+        assert 0 < len(kept) < cfg.replications
+        assert math.isnan(summary.columns["blocking_mean"][0])
+        assert summary.columns["blocking_mean"][1] == float(np.mean(kept))
+
     def test_default_cells(self):
         tables = run_rate_sweep(FAST)
         assert [t.name for t in tables] == [

@@ -51,8 +51,7 @@ class TestHandTracedFixtures:
         assert series.admitted == 0 and series.blocked == 0
         ps = peak_stats(series)
         assert ps == type(ps)(0, 0.0, 0.0)
-        with pytest.raises(DomainError):
-            blocking_fraction(series)
+        assert math.isnan(blocking_fraction(series))  # no arrivals, no fraction
 
     def test_step_at_half_horizon_averages_half(self):
         trace = fixed_trace([5.0], horizon=10.0)
@@ -229,9 +228,10 @@ class TestSeriesValidationAndExport:
     def test_csv_export(self, tmp_path):
         trace = fixed_trace([1.0, 2.0], horizon=3.0)
         series = simulate_occupancy(trace, LocationConfig(1, INFINITE_HOLD), RngStream(0, 0))
-        path = write_occupancy_csv(tmp_path / "occupancy.csv", series)
+        path = write_occupancy_csv(tmp_path / "occupancy.csv", series, {"label": "two"})
         text = path.read_text()
         lines = text.splitlines()
+        assert lines[0] == "# label=two"  # the caller's provenance leads the summary
         assert "# blocking_fraction=0.5" in lines
         assert "# peak_count=1" in lines
         header_at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
