@@ -33,7 +33,7 @@ def run_cli(args) -> subprocess.CompletedProcess:
     (in process, the ``error::RuntimeWarning`` filter raises them instead)."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     return subprocess.run([sys.executable, "-m", "arrivalab.cli", *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=60)
 
 
 class TestSweepAlpha:

@@ -120,25 +120,28 @@ def test_job_that_fails_only_in_a_child_still_yields_every_result(failure, count
 
 
 def test_failed_fork_closes_its_pipe_and_runs_the_plain_loop(monkeypatch):
-    pipes = []
-    pipe = os.pipe
+    pipes, closed = [], []
+    pipe, close = os.pipe, os.close
 
     def recorded_pipe():
         pipes.append(pipe())
         return pipes[-1]
+
+    def recorded_close(fd):
+        closed.append(fd)
+        close(fd)
 
     def failed_fork():
         raise BlockingIOError("no process to spare")
 
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "close", recorded_close)
     monkeypatch.setattr(os, "fork", failed_fork)
     jobs = [(i,) for i in range(5)]
     assert _fork_map(lambda i: i * i, jobs) == [i * i for (i,) in jobs]
     assert len(pipes) == 1
-    for fd in pipes[0]:
-        with pytest.raises(OSError):  # EBADF: both ends were closed
-            os.fstat(fd)
+    assert sorted(closed) == sorted(pipes[0])  # both ends, each once
 
 
 def test_caller_failure_still_reaps_every_child(workers):
