@@ -117,9 +117,10 @@ class ParetoTwoParams:
 
 def _as_support(x, what: str, strict: bool = False) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    bad = (arr <= 0.0) if strict else (arr < 0.0)
-    if np.any(bad) or np.any(~np.isfinite(arr)):
-        raise DomainError(f"{what} requires finite x {'>' if strict else '>='} 0")
+    if arr.size:  # a NaN anywhere makes the minimum NaN, which fails either bound
+        lo = arr.min()
+        if not ((lo > 0.0) if strict else (lo >= 0.0)) or not arr.max() < math.inf:
+            raise DomainError(f"{what} requires finite x {'>' if strict else '>='} 0")
     return arr
 
 

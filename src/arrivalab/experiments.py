@@ -470,14 +470,11 @@ def _central_difference(cdf, x, params):
     return (cdf(x + h, params) - cdf(x - h, params)) / (2.0 * h)
 
 
-def _ks_repetition_check(cfg, name, block, sampler, params, cdf) -> ValidationCheck:
-    crit = ks_critical_value(KS_SAMPLE_SIZE)
-    passes = 0
-    for k in range(KS_REPETITIONS):
-        sample = EmpiricalSample.from_values(sampler(_stream(cfg, block, k), params, size=KS_SAMPLE_SIZE))
-        if ks_statistic(sample, lambda x: cdf(x, params)) < crit:
-            passes += 1
-    return _check(name, float(passes), float(KS_MIN_PASSES), passes >= KS_MIN_PASSES)
+def _ks_repetition(cfg, block, k, sampler, params, cdf) -> bool:
+    """Whether repetition ``k`` of a KS check, drawn from stream ``k`` of
+    ``block``, stays under the 1% critical value."""
+    sample = EmpiricalSample.from_values(sampler(_stream(cfg, block, k), params, size=KS_SAMPLE_SIZE))
+    return ks_statistic(sample, lambda x: cdf(x, params)) < ks_critical_value(KS_SAMPLE_SIZE)
 
 
 def _derivative_check(cfg, name, block, cdf, pdf, draw_point) -> ValidationCheck:
@@ -526,8 +523,16 @@ def run_validation_suite(cfg: ExperimentConfig) -> ValidationReport:
     ]
     for name, family, _, params, _ in ks_cells:  # an infinite draw fails EmpiricalSample's checks
         _check_largest_draw(family, params, f"{name} samples {family} {params}, which can draw inf")
-    # block ids are taken in cell order, one per cell, before any check runs
-    checks = _fork_map(_ks_repetition_check, [(cfg, name, next(blocks), *cell) for name, _, *cell in ks_cells])
+    # one block id per cell, in cell order, before any repetition runs (zip
+    # takes no block past the last cell); the repetitions, not the checks,
+    # are dealt to the workers, so their shares differ by one at most
+    passed = _fork_map(_ks_repetition, [
+        (cfg, block, k, sampler, params, cdf)
+        for (_, _, sampler, params, cdf), block in zip(ks_cells, blocks) for k in range(KS_REPETITIONS)
+    ])
+    passes = np.reshape(passed, (len(ks_cells), KS_REPETITIONS)).sum(axis=1)
+    checks = [_check(name, float(n), float(KS_MIN_PASSES), n >= KS_MIN_PASSES)
+              for (name, *_), n in zip(ks_cells, passes)]
 
     for m in POISSON_MOMENT_MEANS:
         draws = sample_poisson_count(_stream(cfg, next(blocks)), PoissonParams(m), size=MOMENT_SAMPLE_SIZE)

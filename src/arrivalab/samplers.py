@@ -68,7 +68,9 @@ class RngStream:
 
     def uniform_open(self, size=None):
         """Uniform draw(s) on the open interval (0, 1)."""
-        return self._gen.random(size) + SMALLEST_UNIFORM
+        u = self._gen.random(size)
+        u += SMALLEST_UNIFORM  # in place for a block; a scalar is rebound
+        return u
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -92,7 +94,10 @@ def lomax_from_uniform(u, p: ParetoTwoParams):
     infimum 0.
     """
     with np.errstate(over="ignore"):
-        return p.scale * (np.power(u, -1.0 / p.shape) - 1.0)
+        x = np.power(u, -1.0 / p.shape)  # a new array or scalar, so u is left alone
+        x -= 1.0
+        x *= p.scale
+        return x
 
 
 # --- samplers ----------------------------------------------------------------
@@ -145,14 +150,18 @@ def sample_poisson_count(r: RngStream, p: PoissonParams, size=None):
 
 def _poisson_product(r: RngStream, m: float, count: int) -> np.ndarray:
     # multiply uniforms until the running product drops below exp(-m);
-    # the number of factors minus one is the count
+    # the number of factors minus one is the count, so an entry that drops
+    # out in round k (from 0) counts k. ``prod`` holds the running products
+    # of the ``active`` entries only, in their order
     limit = math.exp(-m)
     out = np.zeros(count, dtype=np.int64)
     prod = np.ones(count, dtype=np.float64)
     active = np.arange(count)
+    k = 0
     while active.size:
-        prod[active] *= r.uniform_open(active.size)
-        still = prod[active] > limit
-        out[active[still]] += 1
-        active = active[still]
+        prod *= r.uniform_open(active.size)
+        still = prod > limit
+        out[active[~still]] = k
+        active, prod = active[still], prod[still]
+        k += 1
     return out

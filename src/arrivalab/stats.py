@@ -8,6 +8,7 @@ framework.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,9 +44,17 @@ class EmpiricalSample:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        vals = self.values
+        # a read-only float array that owns its data is kept as it is (from_values
+        # makes one); anything else is copied, so the caller's array stays theirs
+        if not (isinstance(vals, np.ndarray) and vals.dtype == np.float64
+                and vals.base is None and not vals.flags.writeable):
+            vals = np.array(vals, dtype=float)
+            vals.flags.writeable = False
+            object.__setattr__(self, "values", vals)
+        # sorted (NaN fails >=), nonnegative from the first value, finite up to the last
+        if vals.ndim == 1 and vals.size and vals[0] >= 0 and vals[-1] < np.inf and (vals[1:] >= vals[:-1]).all():
+            return
         if vals.size < 1:
             raise DomainError("empirical sample must hold at least one value")
         if np.any(vals < 0) or np.any(~np.isfinite(vals)):
@@ -56,7 +65,9 @@ class EmpiricalSample:
     @classmethod
     def from_values(cls, values):
         """Sort raw draws into a sample."""
-        return cls(np.sort(np.asarray(values, dtype=float)))
+        vals = np.sort(np.asarray(values, dtype=float))
+        vals.flags.writeable = False
+        return cls(vals)
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -74,8 +85,16 @@ def ks_statistic(s: EmpiricalSample, cdf) -> float:
     fx = np.asarray(cdf(xs), dtype=float)
     if fx.shape != xs.shape:
         raise DomainError(f"cdf returned shape {fx.shape} for {n} sample points")
-    i = np.arange(1, n + 1, dtype=float)
-    return float(max(np.max(i / n - fx), np.max(fx - (i - 1.0) / n)))
+    steps = _ecdf_steps(n)  # the ECDF just after point i is steps[i], just before it steps[i - 1]
+    return float(max(np.max(steps[1:] - fx), np.max(fx - steps[:-1])))
+
+
+@functools.lru_cache(maxsize=4)
+def _ecdf_steps(n: int) -> np.ndarray:
+    """``k / n`` for k = 0..n, read-only since every call shares it."""
+    steps = np.arange(n + 1, dtype=float) / n
+    steps.flags.writeable = False
+    return steps
 
 
 def crossover_point(f, g, lo: float, hi: float):

@@ -32,7 +32,7 @@ from arrivalab import (
     pareto2_pdf_powerlaw,
     poisson_pmf,
 )
-from arrivalab.distributions import _lgamma_integer
+from arrivalab.distributions import _as_support, _lgamma_integer
 from arrivalab.experiments import NORMAL_ERROR_MEANS
 
 
@@ -60,6 +60,25 @@ def test_integer_parameters_share_one_check(build, name, low, high):
             build(bad)
     value = getattr(build(np.int64(low + 1)), name)
     assert type(value) is int and value == low + 1
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("form", [float, np.float64, np.array, lambda v: np.array([1.0, v, 2.0])],
+                         ids=["scalar", "numpy-scalar", "0-d", "1-d"])
+def test_support_check_rejects_what_lies_outside(form, strict):
+    bad = [math.nan, math.inf, -math.inf, -1.0, -0.0 if strict else -1e-300] + ([0.0] if strict else [])
+    want = f"f requires finite x {'>' if strict else '>='} 0"
+    for v in bad:
+        with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+            _as_support(form(v), "f", strict)
+    for v in (1e-300, 1.0, 1e300) + (() if strict else (0.0, -0.0)):
+        arr = _as_support(form(v), "f", strict)
+        assert np.array_equal(arr, np.asarray(form(v), dtype=float))
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_support_check_accepts_an_empty_array(strict):
+    assert _as_support(np.array([]), "f", strict).shape == (0,)
 
 
 def central_difference(f, x, h=1e-5):

@@ -3,13 +3,14 @@ outputs, results and exceptions for any worker count, and no child left
 behind (the shared ``no_child_left_behind`` fixture checks that)."""
 
 import json
+import math
 import os
 
 import pytest
 from test_golden import DIGESTS, run_case
 
-from arrivalab import ParameterError, experiments
-from arrivalab.experiments import _fork_map
+from arrivalab import ExperimentConfig, ParameterError, experiments
+from arrivalab.experiments import KS_REPETITIONS, _fork_map
 
 
 @pytest.fixture
@@ -49,6 +50,28 @@ def test_golden_output_for_any_worker_count(case, count, workers, tmp_path):
     forks = workers(count)
     assert run_case(case, tmp_path) == json.loads(DIGESTS.read_text())[case]
     assert len(forks) == MAPS[case] * (count - 1)
+
+
+def test_ks_repetitions_are_dealt_one_at_a_time(workers, monkeypatch):
+    # the validate-ten-alphas config: 13 KS checks of 100 repetitions each
+    cfg = ExperimentConfig(alphas=(0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.5, 2.5))
+    calls = []
+    ks = experiments.ks_statistic
+
+    def counted(*args):
+        calls.append(1)  # a child's copy of the list is never read
+        return ks(*args)
+
+    monkeypatch.setattr(experiments, "ks_statistic", counted)
+    reports = {}
+    for count in (1, 2, 3):
+        forks = workers(count)
+        forks.clear()
+        calls.clear()
+        reports[count] = experiments.run_validation_suite(cfg).render()
+        assert len(forks) == count - 1
+        assert len(calls) == math.ceil(13 * KS_REPETITIONS / count)  # the caller's share
+    assert reports[2] == reports[3] == reports[1]
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 8])

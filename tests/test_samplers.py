@@ -101,6 +101,19 @@ class TestInverseTransforms:
     def test_exponential_closed_form(self):
         assert exponential_from_uniform(math.exp(-3.0), ExponentialParams(1.0)) == pytest.approx(3.0, rel=1e-14)
 
+    @pytest.mark.parametrize("params", [ParetoOneParams(0.5), ParetoTwoParams(0.9, 0.5), ParetoTwoParams(0.05, 3.0)])
+    def test_lomax_equals_its_closed_form_expression_bit_for_bit(self, params):
+        u = np.concatenate([RngStream(8, 0).uniform_open(1000), [SMALLEST_UNIFORM, 0.5, 1.0]])
+        kept = u.copy()
+        with np.errstate(over="ignore"):  # the tiny shape overflows to inf at the smallest uniforms
+            want = params.scale * (np.power(u, -1.0 / params.shape) - 1.0)
+        assert lomax_from_uniform(u, params).tobytes() == want.tobytes()
+        assert u.tobytes() == kept.tobytes()  # the caller's uniforms are left alone
+        for v, w in zip(u[-4:], want[-4:]):  # scalar paths: a float and a 0-d array
+            for form in (float(v), np.array(v)):
+                got = lomax_from_uniform(form, params)
+                assert np.ndim(got) == 0 and float(got).hex() == float(w).hex()
+
 
 class TestContinuousSamplers:
     def test_strictly_positive(self):
@@ -192,6 +205,29 @@ class TestPoissonSampler:
     def test_mean_above_thirty_is_rejected(self, mean):
         with pytest.raises(ParameterError, match=r"must not exceed 30\b"):
             sample_poisson_count(RngStream(7, 0), PoissonParams(mean), size=200)
+
+    @staticmethod
+    def full_array_counts(r, m, count):
+        """The product method over full-length arrays: every live entry's count
+        goes up by one each round its running product stays above exp(-m)."""
+        limit = math.exp(-m)
+        out = np.zeros(count, dtype=np.int64)
+        prod = np.ones(count, dtype=np.float64)
+        active = np.arange(count)
+        while active.size:
+            prod[active] *= r.uniform_open(active.size)
+            still = prod[active] > limit
+            out[active[still]] += 1
+            active = active[still]
+        return out
+
+    @pytest.mark.parametrize("mean", [0.3, 0.9, 5.0, 30.0])
+    def test_counts_equal_the_full_array_product_method(self, mean):
+        for size in (100_000, 7, 1):
+            got = sample_poisson_count(RngStream(9, 3), PoissonParams(mean), size=size)
+            want = self.full_array_counts(RngStream(9, 3), mean, size)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert sample_poisson_count(RngStream(9, 3), PoissonParams(mean)) == want[0]  # the scalar is size 1
 
     def test_mean_thirty_still_samples(self):
         draws = sample_poisson_count(RngStream(7, 0), PoissonParams(30.0), size=200)

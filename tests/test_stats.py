@@ -39,6 +39,38 @@ class TestEmpiricalSample:
         with pytest.raises(DomainError):
             EmpiricalSample(np.array([-1.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([], "must hold at least one value"),
+            ([2.0, 1.0], "must be sorted ascending"),
+            ([-1.0, 1.0], "values must be finite and nonnegative"),
+            ([1.0, -1.0], "values must be finite and nonnegative"),  # sign is checked before order
+            ([math.nan, 1.0, 2.0], "values must be finite and nonnegative"),
+            ([1.0, math.nan, 2.0], "values must be finite and nonnegative"),
+            ([1.0, 2.0, math.nan], "values must be finite and nonnegative"),
+            ([math.nan], "values must be finite and nonnegative"),
+            ([1.0, 2.0, math.inf], "values must be finite and nonnegative"),
+            ([-math.inf, 1.0, 2.0], "values must be finite and nonnegative"),
+        ],
+    )
+    def test_each_bad_input_raises_its_message(self, values, message):
+        with pytest.raises(DomainError, match=f"^empirical sample {message}$"):
+            EmpiricalSample(np.array(values, dtype=float))
+
+    @pytest.mark.parametrize("values", [[0.0], [1.0, 1.0], [0.0, 0.5, 0.5, 7.0]])
+    def test_accepts_sorted_nonnegative_values_with_ties(self, values):
+        assert list(EmpiricalSample(np.array(values)).values) == values
+
+    def test_values_are_a_read_only_copy(self):
+        raw = np.array([1.0, 2.0, 3.0])
+        for s in (EmpiricalSample(raw), EmpiricalSample.from_values(raw)):
+            raw[0] = 0.5  # the caller's array stays theirs
+            assert list(s.values) == [1.0, 2.0, 3.0]
+            with pytest.raises(ValueError):
+                s.values[0] = 0.0
+            raw[0] = 1.0
+
 
 class TestKsStatistic:
     def test_hand_computed_uniform_case(self):
@@ -68,6 +100,24 @@ class TestKsStatistic:
         # a result that would broadcast against the sample must not pass silently
         with pytest.raises(DomainError):
             ks_statistic(EmpiricalSample.from_values([0.25, 0.5, 0.75]), cdf)
+
+    def test_bit_equal_to_steps_rebuilt_per_call(self):
+        # n values in mixed order, each more than once, so stored steps are reused
+        for n in (4097, 1, 4097, 10_000, 1, 2, 10_000, 3, 2, 3):
+            p = ParetoOneParams(0.7)
+            s = EmpiricalSample.from_values(sample_pareto1(RngStream(n, 5), p, size=n))
+            fx = pareto1_cdf(s.values, p)
+            i = np.arange(1, n + 1, dtype=float)
+            want = float(max(np.max(i / n - fx), np.max(fx - (i - 1.0) / n)))
+            assert ks_statistic(s, lambda x: pareto1_cdf(x, p)).hex() == want.hex()
+
+    def test_stored_steps_are_read_only(self):
+        from arrivalab.stats import _ecdf_steps
+
+        steps = _ecdf_steps(3)
+        with pytest.raises(ValueError):
+            steps[0] = 0.5
+        assert list(_ecdf_steps(3)) == [0.0, 1 / 3, 2 / 3, 1.0]
 
     def test_round_trip_pass_rate_across_seeds(self):
         p = ParetoOneParams(0.5)
