@@ -36,10 +36,10 @@ class ArrivalTrace:
         object.__setattr__(self, "times", times)
         if not (np.isfinite(self.horizon) and self.horizon > 0):
             raise DomainError(f"horizon must be positive and finite, got {self.horizon!r}")
-        if times.size:
-            if times[0] <= 0 or times[-1] > self.horizon:
+        if times.size:  # each check is written so that a NaN time fails it
+            if not (times[0] > 0 and times[-1] <= self.horizon):
                 raise DomainError("arrival times must lie in (0, horizon]")
-            if np.any(np.diff(times) <= 0):
+            if not np.all(np.diff(times) > 0):
                 raise DomainError("arrival times must be strictly increasing")
 
     def __len__(self) -> int:

@@ -13,10 +13,11 @@ import dataclasses
 import sys
 import unicodedata
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from ._version import __version__
 from .arrivals import fixed_trace, generate_trace
-from .csvio import write_manifest, write_occupancy_csv, write_table_csv, write_trace_csv
+from .csvio import write_manifest, write_occupancy_csv, write_report, write_table_csv, write_trace_csv
 from .errors import DomainError, ParameterError
 from .experiments import (
     HOLDING_STREAM_OFFSET,
@@ -33,21 +34,89 @@ from .samplers import FAMILIES, RngStream
 __all__ = ["main", "load_config_file", "KNOWN_CONFIG_KEYS"]
 
 DEFAULT_OUT = "out"
-# config and report text is UTF-8 whatever the locale; non-UTF-8 bytes pass through
+# config text is UTF-8 whatever the locale; non-UTF-8 bytes pass through
 _UTF8 = {"encoding": "utf-8", "errors": "surrogateescape"}
 
-_LIST_KEYS = {"alphas", "betas", "rates", "arrivals"}
-_FLOAT_KEYS = {"alpha", "beta", "rate", "exp_rate", "horizon", "x_max", "x_step", "holding_rate"}
-_INT_KEYS = {"seed", "node_budget", "replications"}
-_STR_KEYS = {"label", "family", "holding"}
 
-KNOWN_CONFIG_KEYS = frozenset(
-    _LIST_KEYS | _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | {"capacity"}
-)
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in raw.split(",") if part.strip())
+
+
+def _capacity(raw: str) -> int | None:
+    return None if raw.lower() in ("none", "unbounded") else int(raw)
+
+
+def _one_of(names, what: str) -> Callable[[str], str]:
+    def parse(raw: str) -> str:
+        if raw not in names:
+            raise ParameterError(f"unknown {what} {raw!r}; expected one of {tuple(names)}")
+        return raw
+    return parse
+
+
+def _label(raw: str) -> str:
+    if any(unicodedata.category(c) in ("Cc", "Zl", "Zp") for c in raw):
+        # a line break or escape sequence would break out of the provenance comment line
+        raise ParameterError(f"label must not contain control characters or line breaks, got {raw!r}")
+    return raw
+
+
+class _Key(NamedTuple):
+    """A config key: the parser of its file and flag values, and the flag that sets it."""
+
+    parse: Callable[[str], object]
+    flag: str | None = None  # None: the config file alone sets the key
+    help: str = ""
+    commands: str = ""  # the subcommands whose parser carries the flag
+
+    def flag_type(self, raw: str):
+        """``parse`` as the flag's argparse type: its error becomes the usage error's message."""
+        try:
+            return self.parse(raw)
+        except ValueError as exc:  # a ParameterError is one too
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+# the commands that run a location, so read its horizon, capacity and holding law
+_RUNS = "sweep-alpha sweep-rate simulate"
+_KEYS = {
+    "seed": _Key(int, "--seed", f"master seed (default {ExperimentConfig.seed})",
+                 "sweep-alpha sweep-rate compare simulate validate"),
+    "horizon": _Key(float, "--horizon", "simulation horizon in time units", _RUNS),
+    "replications": _Key(int, "--replications", "replications per cell", "sweep-alpha sweep-rate"),
+    "exp_rate": _Key(float, "--exp-rate", "rate of the exponential baseline", "sweep-alpha compare"),
+    "x_max": _Key(float, "--x-max", "curve grid maximum", "sweep-alpha compare"),
+    "x_step": _Key(float, "--x-step", "curve grid step", "sweep-alpha compare"),
+    "alphas": _Key(_floats),
+    "betas": _Key(_floats),
+    "rates": _Key(_floats),
+    # a singular key sets a one-element list of its plural; its flag repeats, one entry each
+    "alpha": _Key(float, "--alpha", "shape value (repeatable; simulate takes one)", "sweep-alpha compare simulate"),
+    "beta": _Key(float, "--beta", "two-parameter scale value (repeatable; simulate takes one)",
+                 "sweep-alpha compare simulate"),
+    "rate": _Key(float, "--rate", "arrival rate (repeatable; simulate takes one)", "sweep-rate simulate"),
+    "node_budget": _Key(int, "--nodes", "node budget: default capacity and sweep-rate's pmf support",
+                        "sweep-alpha sweep-rate"),
+    "capacity": _Key(_capacity, "--capacity", "location capacity (integer, or 'unbounded' for simulate)", _RUNS),
+    "holding": _Key(_one_of(HOLDING_FAMILIES, "holding family"), "--holding",
+                    f"holding-time family: {' | '.join(HOLDING_FAMILIES)}", _RUNS),
+    "holding_rate": _Key(float, "--holding-rate", "holding-time rate (1/mean)", _RUNS),
+    "family": _Key(_one_of(FAMILIES, "arrival family"), "--family",
+                   f"arrival-gap family: {' | '.join(FAMILIES)}", "simulate"),
+    "arrivals": _Key(_floats, "--arrivals", "comma-separated explicit arrival times (fixture)", "simulate"),
+    "label": _Key(_label, "--label", "scenario label echoed into provenance", "simulate"),
+}
+KNOWN_CONFIG_KEYS = frozenset(_KEYS)
+_PLURALS = {"alpha": "alphas", "beta": "betas", "rate": "rates"}
+# arrival params field -> (the sweep list it comes from, simulate's value if unset)
+_SIMULATE_FIELDS = {"rate": ("rates", 0.9), "shape": ("alphas", 0.5), "scale": ("betas", 1.0)}
 
 
 def load_config_file(path) -> dict:
-    """Flat ``key = value`` text; '#' comments; unknown keys are errors."""
+    """Flat ``key = value`` text; '#' starts a comment line; unknown keys are errors.
+
+    Each value goes through its key's parser, the one its flag's value goes through.
+    """
     values = {}
     for lineno, raw in enumerate(Path(path).read_text(**_UTF8).splitlines(), start=1):
         line = raw.strip()
@@ -57,48 +126,22 @@ def load_config_file(path) -> dict:
             raise ParameterError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if key not in KNOWN_CONFIG_KEYS:
             raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _parse_value(key, value)
+        try:
+            values[key] = _KEYS[key].parse(value.strip())
+        except ValueError as exc:  # a ParameterError is one too
+            raise ParameterError(f"{path}:{lineno}: config key {key!r}: {exc}") from None
     return values
-
-
-def _parse_value(key: str, raw: str):
-    try:
-        if key in _LIST_KEYS:
-            return tuple(float(part) for part in raw.split(",") if part.strip())
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key == "capacity":
-            return None if raw.lower() in ("none", "unbounded") else int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"config key {key!r}: cannot parse {raw!r}: {exc}") from None
-    if key == "family" and raw not in FAMILIES:
-        raise ParameterError(f"unknown arrival family {raw!r}; expected one of {tuple(FAMILIES)}")
-    if key == "label" and any(unicodedata.category(c) in ("Cc", "Zl", "Zp") for c in raw):
-        # a line break or escape sequence would break out of the provenance comment line
-        raise ParameterError(f"label must not contain control characters or line breaks, got {raw!r}")
-    return raw
-
-
-# a singular key in a file is a one-element list of its plural
-_PLURALS = {"alpha": "alphas", "beta": "betas", "rate": "rates"}
-# keys only simulate reads; ExperimentConfig has no field for them
-_SIMULATE_ONLY = ("family", "arrivals", "label")
-# arrival params field -> (the sweep list it comes from, simulate's value if unset)
-_SIMULATE_FIELDS = {"rate": ("rates", 0.9), "shape": ("alphas", 0.5), "scale": ("betas", 1.0)}
 
 
 def _resolve(args) -> tuple[ExperimentConfig, dict]:
     """Config file, then flags over it: the resolved :class:`ExperimentConfig`
-    and the simulate-only values (``family``, ``arrivals``, ``label``).
+    and the values of the keys only simulate takes (``family``, ``arrivals``, ``label``).
 
-    Every flag's ``dest`` is its config key, and string flag values are
-    parsed like file values. ``overrides`` lists each key the file or a flag
-    set, under its plural name.
+    Every flag's ``dest`` is its key (a repeated flag's, the plural), set only
+    when the flag is given, and its value is parsed already. ``overrides``
+    lists each key the file or a flag set, under its plural name.
     """
     values = load_config_file(args.config) if args.config else {}
     for single, plural in _PLURALS.items():
@@ -106,13 +149,11 @@ def _resolve(args) -> tuple[ExperimentConfig, dict]:
             if plural in values:
                 raise ParameterError(f"config sets both {single!r} and {plural!r}; keep one of them")
             values[plural] = (values.pop(single),)
-    for key, flag in vars(args).items():
-        if key in KNOWN_CONFIG_KEYS and flag is not None:
-            values[key] = _parse_value(key, flag) if isinstance(flag, str) else flag
+    values.update((key, flag) for key, flag in vars(args).items() if key in _KEYS)
     if "capacity" in values and values["capacity"] is None and args.command != "simulate":
         # ExperimentConfig reads capacity None as node_budget, so the run would not be unbounded
         raise ParameterError(f"{args.command} needs an integer capacity; 'unbounded' is for simulate only")
-    extra = {key: values.pop(key) for key in _SIMULATE_ONLY if key in values}
+    extra = {key: values.pop(key) for key in list(values) if _KEYS[key].commands == "simulate"}
     fields = {("holding_family" if key == "holding" else key): v for key, v in values.items()}
     return ExperimentConfig(**fields, overrides=tuple(sorted(values))), extra
 
@@ -201,11 +242,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_validate(args) -> int:
     cfg, _ = _resolve(args)
     report = run_validation_suite(cfg)
-    outdir = _prepare_outdir(args)
-    path = outdir / "validation_report.txt"
-    header = "".join(f"# {k}={v}\n" for k, v in _run_provenance("validate", cfg.seed).items())
-    path.write_text(header + report.render(), **_UTF8, newline="\n")
-    print(report.render(), end="")
+    text = report.render()
+    path = write_report(_prepare_outdir(args) / "validation_report.txt", text, _run_provenance("validate", cfg.seed))
+    print(text, end="")
     if args.verbose:
         print(f"wrote {path}", file=sys.stderr)
     return 0 if report.passed else 1
@@ -218,68 +257,24 @@ def build_parser() -> argparse.ArgumentParser:
         "capacity-bounded occupancy, deterministic CSV output.",
     )
     parser.add_argument("--version", action="version", version=f"arrivalab {__version__}")
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help=f"master seed (default {ExperimentConfig.seed})")
-    common.add_argument("--out", default=DEFAULT_OUT, help="output directory (default: %(default)s)")
-    common.add_argument("--config", default=None, help="flat key=value config file")
-    common.add_argument("--verbose", action="store_true", help="report every file written")
-
-    # compare and validate read neither flag and simulate no replications, so they take none
-    horizon = argparse.ArgumentParser(add_help=False)
-    horizon.add_argument("--horizon", type=float, default=None, help="simulation horizon in time units")
-    sized = argparse.ArgumentParser(add_help=False, parents=[horizon])
-    sized.add_argument("--replications", type=int, default=None, help="replications per cell")
-
-    curves = argparse.ArgumentParser(add_help=False)
-    curves.add_argument("--exp-rate", dest="exp_rate", type=float, default=None,
-                        help="rate of the exponential baseline")
-    curves.add_argument("--x-max", dest="x_max", type=float, default=None, help="curve grid maximum")
-    curves.add_argument("--x-step", dest="x_step", type=float, default=None, help="curve grid step")
-
-    shapes = argparse.ArgumentParser(add_help=False)
-    shapes.add_argument("--alpha", dest="alphas", action="append", type=float,
-                        help="shape value (repeatable; simulate takes one)")
-    shapes.add_argument("--beta", dest="betas", action="append", type=float,
-                        help="two-parameter scale value (repeatable; simulate takes one)")
-
-    occ = argparse.ArgumentParser(add_help=False)
-    occ.add_argument("--capacity", default=None, help="location capacity (integer, or 'unbounded' for simulate)")
-    occ.add_argument("--holding", choices=HOLDING_FAMILIES, default=None, help="holding-time family")
-    occ.add_argument("--holding-rate", dest="holding_rate", type=float, default=None,
-                     help="holding-time rate (1/mean)")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sweep-alpha", parents=[common, sized, curves, shapes, occ],
-                       help="sweep the Pareto shape values; one CSV per cell")
-    p.add_argument("--nodes", dest="node_budget", type=int, default=None, help="node budget / default capacity")
-    p.set_defaults(func=_cmd_tables, run=run_alpha_sweep)
-
-    p = sub.add_parser("sweep-rate", parents=[common, sized, occ],
-                       help="sweep the arrival rates; one CSV per cell")
-    p.add_argument("--rate", dest="rates", action="append", type=float, help="arrival rate (repeatable)")
-    p.add_argument("--nodes", dest="node_budget", type=int, default=None,
-                   help="node budget: pmf support and default capacity")
-    p.set_defaults(func=_cmd_tables, run=run_rate_sweep)
-
-    p = sub.add_parser("compare", parents=[common, curves, shapes],
-                       help="density curves of every family plus crossover summary")
-    p.set_defaults(func=_cmd_tables, run=run_tail_comparison)
-
-    p = sub.add_parser("simulate", parents=[common, horizon, shapes, occ],
-                       help="one occupancy simulation: trace + step series CSVs")
-    p.add_argument("--family", choices=tuple(FAMILIES), default=None, help="arrival-gap family")
-    p.add_argument("--rate", dest="rates", action="append", type=float,
-                   help="exponential arrival rate (one value)")
-    p.add_argument("--arrivals", default=None, help="comma-separated explicit arrival times (fixture)")
-    p.add_argument("--label", default=None, help="scenario label echoed into provenance")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("validate", parents=[common],
-                       help="run the validation suite; exit 0 iff all checks pass")
-    p.set_defaults(func=_cmd_validate)
-
+    # the runners are read from this module's globals on each call, so a wrapper set on them later is seen
+    for command, func, run, help in (
+        ("sweep-alpha", _cmd_tables, run_alpha_sweep, "sweep the Pareto shape values; one CSV per cell"),
+        ("sweep-rate", _cmd_tables, run_rate_sweep, "sweep the arrival rates; one CSV per cell"),
+        ("compare", _cmd_tables, run_tail_comparison, "density curves of every family plus crossover summary"),
+        ("simulate", _cmd_simulate, None, "one occupancy simulation: trace + step series CSVs"),
+        ("validate", _cmd_validate, None, "run the validation suite; exit 0 iff all checks pass"),
+    ):
+        p = sub.add_parser(command, help=help)
+        p.add_argument("--out", default=DEFAULT_OUT, help="output directory (default: %(default)s)")
+        p.add_argument("--config", help="flat key=value config file")
+        p.add_argument("--verbose", action="store_true", help="report every file written")
+        for key, k in _KEYS.items():
+            if command in k.commands.split():
+                p.add_argument(k.flag, dest=_PLURALS.get(key, key), type=k.flag_type, help=k.help,
+                               action="append" if key in _PLURALS else "store", default=argparse.SUPPRESS)
+        p.set_defaults(func=func, run=run)
     return parser
 
 

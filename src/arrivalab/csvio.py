@@ -1,11 +1,12 @@
-"""Deterministic CSV and manifest emission.
+"""Deterministic CSV, report and manifest emission.
 
 Every CSV starts with comment-prefixed provenance lines (``# key=value``),
-then a column-name row, then data rows. Floats are written with 17
-significant digits so a rerun with the same seed is byte-identical and
-round-trips exactly. Every file is UTF-8 with ``\n`` line ends, whatever
-the locale. Bulk rows are formatted one 4096-row chunk at a time, straight
-into the file (see ``_write_csv``).
+then a column-name row, then data rows; the validation report is text under
+the same provenance lines. Floats are written with 17 significant digits so
+a rerun with the same seed is byte-identical and round-trips exactly. Every
+file is UTF-8 with ``\n`` line ends, whatever the locale. Bulk rows are
+formatted one 4096-row chunk at a time, straight into the file (see
+``_write_csv``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "write_table_csv",
     "write_trace_csv",
     "write_occupancy_csv",
+    "write_report",
     "write_manifest",
     "sha256_file",
 ]
@@ -81,6 +83,13 @@ def write_occupancy_csv(path, series: OccupancySeries, provenance: dict[str, str
                 end_time=_FLOAT % series.end_time, peak_count=str(ps.peak_count), peak_time=_FLOAT % ps.peak_time,
                 mean_occupancy=_FLOAT % ps.mean_occupancy, blocking_fraction=_FLOAT % blocking_fraction(series))
     return _write_csv(path, prov, "time,count", f"{_FLOAT},%d\n", series.breakpoints, series.counts)
+
+
+def write_report(path, text: str, provenance: dict[str, str]) -> Path:
+    """Plain ``text`` (the validation report) under the caller's provenance lines."""
+    path = Path(path)
+    path.write_text("\n".join([*_provenance_lines(provenance), text]), **_TEXT)
+    return path
 
 
 def sha256_file(path) -> str:

@@ -77,8 +77,9 @@ HOLDING_STREAM_OFFSET = 1 << 32
 # validation-suite streams live in their own region of the id space
 _VALIDATION_STREAM_BASE = 1 << 33
 
-# the most steps x_max / x_step a curve grid may take: a million rows are 8 MB
-# a column in memory, far past any plotted curve (the default grid has 501)
+# the most steps x_max / x_step a curve grid may take, and the most rows a pmf
+# table may hold: a million rows are 8 MB a column in memory, far past any
+# plotted curve (the default grid has 501)
 _MAX_GRID_STEPS = 10**6
 # crossover searches run on [0, 1000]
 CROSSOVER_SEARCH_MAX = 1000.0
@@ -364,6 +365,9 @@ def run_alpha_sweep(cfg: ExperimentConfig) -> list[SeriesTable]:
 
 def run_rate_sweep(cfg: ExperimentConfig) -> list[SeriesTable]:
     """One Poisson pmf table per arrival rate plus an occupancy summary table."""
+    if cfg.node_budget + 1 > _MAX_GRID_STEPS:
+        raise ParameterError(f"node_budget must be below {_MAX_GRID_STEPS:g}: the pmf table holds node_budget + 1 "
+                             f"rows, at most {_MAX_GRID_STEPS:g}; got {cfg.node_budget!r}")
     ns = np.arange(0, cfg.node_budget + 1, dtype=float)
     tables = []
     for r in cfg.rates:

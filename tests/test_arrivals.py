@@ -89,6 +89,20 @@ class TestGenerateTrace:
         with pytest.raises(DomainError, match="finite"):
             fixed_trace([1.0], horizon=math.inf)
 
+    @pytest.mark.parametrize(
+        "times,error",
+        [
+            ([math.nan], r"lie in \(0, horizon\]"),
+            ([1.0, math.nan], r"lie in \(0, horizon\]"),
+            ([math.nan, 1.0], r"lie in \(0, horizon\]"),
+            ([1.0, math.nan, 3.0], "strictly increasing"),
+        ],
+    )
+    def test_rejects_nan_times(self, times, error):
+        # NaN compares false both ways, so each check must fail on it rather than pass
+        with pytest.raises(DomainError, match=error):
+            fixed_trace(times, 5.0)
+
 
     @pytest.mark.parametrize("bound", [1000, 2048, 2500])
     def test_a_trace_past_the_arrival_bound_is_refused(self, bound, monkeypatch):

@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ import pytest
 
 import arrivalab.experiments
 from arrivalab import FAMILIES, ParameterError
-from arrivalab.cli import KNOWN_CONFIG_KEYS, load_config_file, main
+from arrivalab.cli import KNOWN_CONFIG_KEYS, build_parser, load_config_file, main
 
 
 def manifest_lines(outdir):
@@ -22,6 +24,14 @@ def provenance(path):
         key, _, value = line[2:].partition("=")
         out[key] = value
     return out
+
+
+def exit_code(args) -> int:
+    """``main``'s return value, or the status of the usage error argparse exits with."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 def fast_args(out):
@@ -356,8 +366,11 @@ class TestErrorPaths:
         cfg.write_bytes(f"label = {label}\n".encode("utf-8"))
         extra = ["--label", label] if form == "flag" else ["--config", str(cfg)]
         out = tmp_path / "out"
-        assert main(["simulate", "--arrivals", "1,2", "--out", str(out), *extra]) == 2
-        assert "control characters" in capsys.readouterr().err
+        assert exit_code(["simulate", "--arrivals", "1,2", "--out", str(out), *extra]) == 2
+        err = capsys.readouterr().err
+        assert "control characters" in err
+        # a flag value is refused by argparse, with the usage line
+        assert (f"arrivalab simulate: error: argument --label: " in err) == (form == "flag")
         assert not (out / "trace.csv").exists()
 
     @pytest.mark.parametrize(
@@ -558,8 +571,14 @@ class TestConfigResolution:
         assert "capacity" in capsys.readouterr().err
 
     def test_simulate_bad_arrivals_flag_exits_two(self, tmp_path, capsys):
-        assert main(["simulate", "--arrivals", "1,x", "--out", str(tmp_path)]) == 2
-        assert "arrivals" in capsys.readouterr().err
+        assert exit_code(["simulate", "--arrivals", "1,x", "--out", str(tmp_path)]) == 2
+        assert "error: argument --arrivals: could not convert string to float: 'x'" in capsys.readouterr().err
+
+    def test_simulate_nan_arrival_exits_two_before_any_write(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["simulate", "--arrivals", "1,nan", "--horizon", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: arrival times must lie in (0, horizon]\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sweep-alpha", "sweep-rate", "compare", "simulate"])
     @pytest.mark.parametrize("single,plural", [("alpha", "alphas"), ("beta", "betas"), ("rate", "rates")])
@@ -616,3 +635,79 @@ class TestLocaleIndependence:
         manifest = self.run_simulate(tmp_path / "c", ascii_c, *extra)
         assert manifest == self.run_simulate(tmp_path / "utf8", {"PYTHONUTF8": "1"}, *extra)
         assert "# label=café\n".encode("utf-8") in (tmp_path / "c" / "trace.csv").read_bytes()
+
+
+class TestCommandSurface:
+    """Each subcommand's flags and the config keys, pinned as the CLI documents them."""
+
+    COMMON = ["--config", "--help", "--out", "--seed", "--verbose", "-h"]
+    RUN = ["--capacity", "--holding", "--holding-rate", "--horizon"]
+    FLAGS = {
+        "sweep-alpha": [*COMMON, *RUN, "--alpha", "--beta", "--exp-rate", "--nodes", "--replications",
+                        "--x-max", "--x-step"],
+        "sweep-rate": [*COMMON, *RUN, "--nodes", "--rate", "--replications"],
+        "compare": [*COMMON, "--alpha", "--beta", "--exp-rate", "--x-max", "--x-step"],
+        "simulate": [*COMMON, *RUN, "--alpha", "--arrivals", "--beta", "--family", "--label", "--rate"],
+        "validate": COMMON,
+    }
+
+    @staticmethod
+    def subparsers():
+        parser = build_parser()
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_each_subcommand_takes_exactly_its_flags(self):
+        subparsers = self.subparsers()
+        assert sorted(subparsers) == sorted(self.FLAGS)
+        for command, flags in self.FLAGS.items():
+            options = sorted(s for action in subparsers[command]._actions for s in action.option_strings)
+            assert options == sorted(flags), command
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: arrivalab {command} ")
+
+    def test_known_config_keys(self):
+        assert KNOWN_CONFIG_KEYS == {
+            "alpha", "alphas", "arrivals", "beta", "betas", "capacity", "exp_rate", "family", "holding",
+            "holding_rate", "horizon", "label", "node_budget", "rate", "rates", "replications", "seed",
+            "x_max", "x_step",
+        }
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_section(heading: str) -> str:
+    text = README.read_text(encoding="utf-8")
+    return re.split(r"\n##+ ", text.split(f"\n{heading}\n", 1)[1], maxsplit=1)[0]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("command", sorted(TestCommandSurface.FLAGS))
+    def test_example_config_file_loads_and_runs(self, command, tmp_path):
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(readme_section("### Config files").split("```\n")[1], encoding="utf-8")
+        values = load_config_file(cfg)
+        # every key but the singular forms, each value free of the comments around it
+        assert set(values) == KNOWN_CONFIG_KEYS - {"alpha", "beta", "rate"}
+        assert values["alphas"] == (0.5,) and values["capacity"] == 20 and values["label"] == "probe"
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    def test_flag_table_lists_each_flag_with_its_commands(self):
+        documented, keys = {}, set()
+        for line in readme_section("## Command line").splitlines():
+            cells = [re.findall(r"`([^`]+)`", cell) for cell in line.strip("|").split("|")]
+            if line.startswith("| `") and len(cells) == 3:
+                keys.update(cells[0])
+                if cells[1]:
+                    documented[cells[1][0]] = sorted(cells[2])
+        assert keys == KNOWN_CONFIG_KEYS
+        taken = {}
+        for command, flags in TestCommandSurface.FLAGS.items():
+            for flag in set(flags) - set(TestCommandSurface.COMMON) | {"--seed"}:
+                taken.setdefault(flag, []).append(command)
+        assert documented == {flag: sorted(commands) for flag, commands in taken.items()}

@@ -168,6 +168,32 @@ class TestRateSweep:
         assert math.isnan(summary.columns["blocking_mean"][0])
         assert summary.columns["blocking_mean"][1] == float(np.mean(kept))
 
+    @pytest.mark.parametrize("rows", [10**6, 10**6 + 1])
+    def test_pmf_rows_share_the_curve_grid_bound(self, rows, monkeypatch):
+        # a pmf call past the check stands in for the million-row table, which is never built
+        class PastTheCheck(Exception):
+            pass
+
+        def past_the_check(*args):
+            raise PastTheCheck
+
+        monkeypatch.setattr(arrivalab.experiments, "poisson_pmf", past_the_check)
+        monkeypatch.setattr(arrivalab.experiments, "generate_trace", past_the_check)
+        cfg = ExperimentConfig(node_budget=rows - 1, rates=(0.5,))
+        if rows <= arrivalab.experiments._MAX_GRID_STEPS:
+            with pytest.raises(PastTheCheck):
+                run_rate_sweep(cfg)
+        else:
+            with pytest.raises(ParameterError, match="^node_budget must be below 1e[+]06: the pmf table holds "
+                                                     r"node_budget \+ 1 rows, at most 1e[+]06; got 1000000$"):
+                run_rate_sweep(cfg)
+
+    def test_oversized_pmf_table_exits_two_before_any_write(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["sweep-rate", "--nodes", str(10**6), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: node_budget must be below 1e+06")
+        assert not out.exists()
+
     def test_default_cells(self):
         tables = run_rate_sweep(FAST)
         assert [t.name for t in tables] == [
