@@ -34,8 +34,9 @@ from .samplers import FAMILIES, RngStream
 __all__ = ["main", "load_config_file", "KNOWN_CONFIG_KEYS"]
 
 DEFAULT_OUT = "out"
-# config text is UTF-8 whatever the locale; non-UTF-8 bytes pass through
-_UTF8 = {"encoding": "utf-8", "errors": "surrogateescape"}
+# config text is UTF-8 whatever the locale, a leading byte-order mark dropped;
+# non-UTF-8 bytes pass through
+_UTF8 = {"encoding": "utf-8-sig", "errors": "surrogateescape"}
 
 
 def _floats(raw: str) -> tuple[float, ...]:
@@ -113,11 +114,12 @@ _SIMULATE_FIELDS = {"rate": ("rates", 0.9), "shape": ("alphas", 0.5), "scale": (
 
 
 def load_config_file(path) -> dict:
-    """Flat ``key = value`` text; '#' starts a comment line; unknown keys are errors.
+    """Flat ``key = value`` text; '#' starts a comment line; unknown keys and a
+    key set twice are errors.
 
     Each value goes through its key's parser, the one its flag's value goes through.
     """
-    values = {}
+    values, first_line = {}, {}
     for lineno, raw in enumerate(Path(path).read_text(**_UTF8).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -128,6 +130,9 @@ def load_config_file(path) -> dict:
         key = key.strip()
         if key not in KNOWN_CONFIG_KEYS:
             raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
+        if first_line.setdefault(key, lineno) != lineno:
+            raise ParameterError(f"{path}:{lineno}: config key {key!r} is set again; "
+                                 f"line {first_line[key]} set it first")
         try:
             values[key] = _KEYS[key].parse(value.strip())
         except ValueError as exc:  # a ParameterError is one too

@@ -1,10 +1,11 @@
 """Closed-form evaluators for the arrival-model distribution families.
 
-Covers the Poisson count law, the exponential inter-arrival baseline, the
-one-parameter Pareto family ``F(x) = 1 - (1 + x)^(-shape)``, the Lomax
-(Pareto type II) two-parameter family, a deliberately inconsistent
-"shifted CDF / power-law pdf" two-parameter variant kept for comparison,
-and the continuity-corrected normal approximation to the Poisson pmf.
+Covers the Poisson process (its count law and its exponential gaps, at one
+rate type, ``ExponentialParams`` alias ``PoissonParams``), the one-parameter
+Pareto family ``F(x) = 1 - (1 + x)^(-shape)``, the Lomax (Pareto type II)
+two-parameter family, a deliberately inconsistent "shifted CDF / power-law
+pdf" two-parameter variant kept for comparison, and the continuity-corrected
+normal approximation to the Poisson pmf.
 
 All evaluators accept a float or a numpy array for the evaluation point and
 return the matching kind. Masses and densities are computed in log space so
@@ -66,24 +67,18 @@ def _integer(name: str, value, low: int, high: float = math.inf) -> int:
 
 
 @dataclass(frozen=True)
-class PoissonParams:
-    """Arrival rate of the Poisson count law over a unit window, so the
-    count's mean is ``rate``."""
-
-    rate: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "rate", _positive_finite("rate", self.rate))
-
-
-@dataclass(frozen=True)
 class ExponentialParams:
-    """Rate of the exponential law (events per unit time)."""
+    """Rate ``r`` of a Poisson process (events per unit time): its gaps are
+    exponential with mean ``1 / r`` and its count over a unit window is
+    Poisson with mean ``r``. ``PoissonParams`` is this class."""
 
     rate: float
 
     def __post_init__(self):
         object.__setattr__(self, "rate", _positive_finite("rate", self.rate))
+
+
+PoissonParams = ExponentialParams
 
 
 @dataclass(frozen=True)

@@ -343,9 +343,9 @@ def run_alpha_sweep(cfg: ExperimentConfig) -> list[SeriesTable]:
     """
     xs = _grid(cfg)
     ep = ExponentialParams(cfg.exp_rate)
+    cells = [(a, ParetoOneParams(a)) for a in cfg.alphas]
     tables = []
-    for a in cfg.alphas:
-        p1 = ParetoOneParams(a)
+    for a, p1 in cells:
         cols = {
             "exp_pdf": exp_pdf(xs, ep),
             "exp_survival": exp_survival(xs, ep),
@@ -358,7 +358,6 @@ def run_alpha_sweep(cfg: ExperimentConfig) -> list[SeriesTable]:
             cols[f"lomax_survival_b{b:g}"] = lomax_survival(xs, p2)
         prov = _base_provenance(cfg, "sweep-alpha", cell=f"alpha={a:g}", family="pareto1")
         tables.append(SeriesTable(f"alpha_{a:g}", "x", xs, cols, prov))
-    cells = [(a, ParetoOneParams(a)) for a in cfg.alphas]
     tables.append(_occupancy_summary(cfg, "alpha", "pareto1", cells))
     return tables
 
@@ -369,14 +368,12 @@ def run_rate_sweep(cfg: ExperimentConfig) -> list[SeriesTable]:
         raise ParameterError(f"node_budget must be below {_MAX_GRID_STEPS:g}: the pmf table holds node_budget + 1 "
                              f"rows, at most {_MAX_GRID_STEPS:g}; got {cfg.node_budget!r}")
     ns = np.arange(0, cfg.node_budget + 1, dtype=float)
-    tables = []
-    for r in cfg.rates:
-        pp = PoissonParams(r)
-        prov = _base_provenance(cfg, "sweep-rate", cell=f"rate={r:g}", family="exponential")
-        tables.append(
-            SeriesTable(f"rate_{r:g}", "n", ns, {"poisson_pmf": poisson_pmf(ns, pp)}, prov)
-        )
-    cells = [(r, ExponentialParams(r)) for r in cfg.rates]
+    cells = [(r, ExponentialParams(r)) for r in cfg.rates]  # Poisson counts, exponential gaps
+    tables = [
+        SeriesTable(f"rate_{r:g}", "n", ns, {"poisson_pmf": poisson_pmf(ns, pp)},
+                    _base_provenance(cfg, "sweep-rate", cell=f"rate={r:g}", family="exponential"))
+        for r, pp in cells
+    ]
     tables.append(_occupancy_summary(cfg, "rate", "exponential", cells))
     return tables
 
@@ -392,42 +389,29 @@ def run_tail_comparison(cfg: ExperimentConfig) -> list[SeriesTable]:
     """
     xs = _grid(cfg)
     ep = ExponentialParams(cfg.exp_rate)
+    p1s = [ParetoOneParams(a) for a in cfg.alphas]
+    p2s = [(a, b, ParetoTwoParams(a, b)) for a in cfg.alphas for b in cfg.betas]
     cols = {"exp_pdf": exp_pdf(xs, ep)}
-    for a in cfg.alphas:
-        cols[f"pareto1_pdf_a{a:g}"] = pareto1_pdf(xs, ParetoOneParams(a))
-    for a in cfg.alphas:
-        for b in cfg.betas:
-            cols[f"lomax_pdf_a{a:g}_b{b:g}"] = lomax_pdf(xs, ParetoTwoParams(a, b))
-    for a in cfg.alphas:
-        if a < 1.0:
-            continue
-        for b in cfg.betas:
+    for a, p1 in zip(cfg.alphas, p1s):
+        cols[f"pareto1_pdf_a{a:g}"] = pareto1_pdf(xs, p1)
+    for a, b, p2 in p2s:
+        cols[f"lomax_pdf_a{a:g}_b{b:g}"] = lomax_pdf(xs, p2)
+    positive = xs > 0
+    for a, b, p2 in p2s:
+        if a >= 1.0:
             col = np.full(xs.shape, np.nan)
-            positive = xs > 0
-            col[positive] = pareto2_pdf_powerlaw(xs[positive], ParetoTwoParams(a, b))
+            col[positive] = pareto2_pdf_powerlaw(xs[positive], p2)
             cols[f"powerlaw_pdf_a{a:g}_b{b:g}"] = col
-    prov = _base_provenance(cfg, "compare")
-    curves = SeriesTable("tail_comparison", "x", xs, cols, prov)
+    curves = SeriesTable("tail_comparison", "x", xs, cols, _base_provenance(cfg, "compare"))
 
-    pdf_cross, surv_cross = [], []
-    for a in cfg.alphas:
-        p1 = ParetoOneParams(a)
-        xc = crossover_point(
-            lambda x: pareto1_pdf(x, p1), lambda x: exp_pdf(x, ep), 0.0, CROSSOVER_SEARCH_MAX
-        )
-        sc = crossover_point(
-            lambda x: pareto1_survival(x, p1), lambda x: exp_survival(x, ep), 0.0, CROSSOVER_SEARCH_MAX
-        )
-        pdf_cross.append(float("nan") if xc is None else xc)
-        surv_cross.append(float("nan") if sc is None else sc)
-    prov = _base_provenance(cfg, "compare", cell="crossover-summary")
-    summary = SeriesTable(
-        "crossover_summary",
-        "alpha",
-        np.asarray(cfg.alphas),
-        {"pdf_crossover_x": np.asarray(pdf_cross), "survival_crossover_x": np.asarray(surv_cross)},
-        prov,
-    )
+    def first_meet(heavy, light, p1):
+        x = crossover_point(lambda t: heavy(t, p1), lambda t: light(t, ep), 0.0, CROSSOVER_SEARCH_MAX)
+        return float("nan") if x is None else x
+
+    summary = SeriesTable("crossover_summary", "alpha", np.asarray(cfg.alphas), {
+        "pdf_crossover_x": [first_meet(pareto1_pdf, exp_pdf, p1) for p1 in p1s],
+        "survival_crossover_x": [first_meet(pareto1_survival, exp_survival, p1) for p1 in p1s],
+    }, _base_provenance(cfg, "compare", cell="crossover-summary"))
     return [curves, summary]
 
 
@@ -554,11 +538,9 @@ def run_validation_suite(cfg: ExperimentConfig) -> ValidationReport:
 
     # the shifted CDF and the power-law pdf are deliberately not a
     # derivative/antiderivative pair; prove it at fixed probes
-    p2 = ParetoTwoParams(1.5, 1.0)
-    worst = 0.0
-    for x in (0.5, 1.0, 2.0, 5.0):
-        fd = _central_difference(pareto2_cdf_shifted, x, p2)
-        worst = max(worst, abs(fd - pareto2_pdf_powerlaw(x, p2)) / max(fd, 1e-300))
+    p2, xs = ParetoTwoParams(1.5, 1.0), np.array([0.5, 1.0, 2.0, 5.0])
+    fd = _central_difference(pareto2_cdf_shifted, xs, p2)
+    worst = float(np.max(np.abs(fd - pareto2_pdf_powerlaw(xs, p2)) / np.maximum(fd, 1e-300)))
     status = "expected-mismatch" if worst > MISMATCH_MIN_REL else "fail"
     checks.append(ValidationCheck("pareto2-shifted-powerlaw-mismatch", worst, MISMATCH_MIN_REL, status))
 

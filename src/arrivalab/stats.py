@@ -102,23 +102,19 @@ def crossover_point(f, g, lo: float, hi: float):
 
     Grid scan of ``CROSSOVER_GRID`` steps to bracket the first sign change of
     f - g, then bisection to absolute tolerance ``CROSSOVER_TOL``. If f >= g
-    already at ``lo`` the interval start is returned at once.
+    already at ``lo`` the interval start is returned at once. ``f`` and ``g``
+    take a float or an array of points: the scan calls each once on the grid.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise DomainError(f"need a finite interval with lo < hi, got [{lo!r}, {hi!r}]")
     if f(lo) >= g(lo):
         return float(lo)
     xs = np.linspace(lo, hi, CROSSOVER_GRID + 1)
-    a = float(lo)
-    b = None
-    for x in xs[1:]:
-        x = float(x)
-        if f(x) >= g(x):
-            b = x
-            break
-        a = x
-    if b is None:
+    with np.errstate(over="ignore"):  # the scan also evaluates points past the first hit
+        hits = np.flatnonzero(f(xs[1:]) >= g(xs[1:]))
+    if not hits.size:
         return None
+    a, b = float(xs[hits[0]]), float(xs[hits[0] + 1])
     while b - a > CROSSOVER_TOL:
         mid = 0.5 * (a + b)
         if f(mid) >= g(mid):

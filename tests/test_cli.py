@@ -310,6 +310,28 @@ class TestConfigFile:
         values = load_config_file(cfg)
         assert values == {"alphas": (0.3, 0.5), "capacity": None, "seed": 3, "family": "lomax"}
 
+    def test_key_set_twice_is_refused_with_both_lines(self, tmp_path):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("seed = 1\n# again\nseed = 2\n")
+        with pytest.raises(ParameterError, match=rf"^{re.escape(str(cfg))}:3: config key 'seed' is set again; "
+                                                 r"line 1 set it first$"):
+            load_config_file(cfg)
+
+    def test_key_set_twice_exits_two_before_any_run(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("seed = 1\nseed = 2\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config key 'seed' is set again" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = "seed = 3\nlabel = café\n".encode("utf-8")
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert load_config_file(marked) == load_config_file(plain) == {"seed": 3, "label": "café"}
+
 
 class TestErrorPaths:
     def test_unwritable_output_path(self, tmp_path, capsys):
@@ -601,12 +623,15 @@ class TestConfigResolution:
         ["sweep-alpha", "--horizon", "10", "--replications", "1"],
         ["sweep-rate", "--horizon", "10", "--replications", "1"],
         ["compare", "--x-max", "5"],
+        # the crossover scan evaluates exp_pdf past its first hit, where rate * exp(...) overflows
+        ["compare", "--exp-rate", "1e306"],
         ["simulate", "--horizon", "10"],
         ["validate"],
         # at seed 0 a shape-0.01 gap overflows to inf, which only ends its trace
         ["sweep-alpha", "--alpha", "0.01", "--horizon", "10", "--replications", "1", "--seed", "0"],
     ],
-    ids=["sweep-alpha", "sweep-rate", "compare", "simulate", "validate", "sweep-alpha-tiny-shape"],
+    ids=["sweep-alpha", "sweep-rate", "compare", "compare-huge-exp-rate", "simulate", "validate",
+         "sweep-alpha-tiny-shape"],
 )
 def test_command_writes_nothing_on_stderr(args, tmp_path):
     proc = run_cli([*args, "--out", str(tmp_path)])
@@ -696,6 +721,12 @@ class TestReadme:
         assert set(values) == KNOWN_CONFIG_KEYS - {"alpha", "beta", "rate"}
         assert values["alphas"] == (0.5,) and values["capacity"] == 20 and values["label"] == "probe"
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    def test_library_use_example_runs(self, capsys):
+        code = readme_section("## Library use").split("```python\n")[1].split("```")[0]
+        exec(compile(code, str(README), "exec"), {})
+        out = capsys.readouterr().out
+        assert out.startswith("PeakStats(peak_count=") and out.endswith(") 0.0\n")
 
     def test_flag_table_lists_each_flag_with_its_commands(self):
         documented, keys = {}, set()

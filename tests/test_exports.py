@@ -69,6 +69,11 @@ def test_pareto1_names_are_the_lomax_functions():
     assert arrivalab.pareto1_from_uniform is arrivalab.lomax_from_uniform
 
 
+def test_poisson_params_are_the_exponential_params():
+    # rate r: exponential gaps of mean 1 / r, Poisson(r) counts per unit window
+    assert arrivalab.PoissonParams is arrivalab.ExponentialParams
+
+
 def test_pareto1_params_keep_one_field_and_carry_scale_one():
     import dataclasses
 

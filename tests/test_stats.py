@@ -24,6 +24,8 @@ from arrivalab import (
     pareto1_survival,
     sample_pareto1,
 )
+from arrivalab.experiments import CROSSOVER_SEARCH_MAX
+from arrivalab.stats import CROSSOVER_GRID, CROSSOVER_TOL
 
 
 class TestEmpiricalSample:
@@ -195,6 +197,48 @@ class TestCrossoverPoint:
         # beyond it the heavy tail stays on top
         for t in np.linspace(x + 1.0, 1000.0, 50):
             assert pareto1_survival(float(t), p1) > exp_survival(float(t), pe)
+
+    @staticmethod
+    def scalar_loop(f, g, lo, hi):
+        """The scan as one scalar call of each curve per grid point, then the bisection."""
+        if f(lo) >= g(lo):
+            return float(lo)
+        a, b = float(lo), None
+        for x in np.linspace(lo, hi, CROSSOVER_GRID + 1)[1:]:
+            x = float(x)
+            if f(x) >= g(x):
+                b = x
+                break
+            a = x
+        if b is None:
+            return None
+        while b - a > CROSSOVER_TOL:
+            mid = 0.5 * (a + b)
+            if f(mid) >= g(mid):
+                b = mid
+            else:
+                a = mid
+        return float(b)
+
+    @pytest.mark.parametrize("shape", (*DEFAULT_SHAPE_SWEEP, 1.5, 2.5))
+    @pytest.mark.parametrize("curves", [(pareto1_pdf, exp_pdf), (pareto1_survival, exp_survival)],
+                             ids=["pdf", "survival"])
+    @pytest.mark.parametrize("lo", [0.0, 0.1, 1.0])
+    def test_bit_equal_to_the_scalar_loop_on_compare_curves(self, curves, shape, lo):
+        heavy, light = curves
+        p1, pe = ParetoOneParams(shape), ExponentialParams(1.0)
+        f, g = (lambda x: heavy(x, p1)), (lambda x: light(x, pe))
+        want = self.scalar_loop(f, g, lo, CROSSOVER_SEARCH_MAX)
+        assert want is not None
+        assert crossover_point(f, g, lo, CROSSOVER_SEARCH_MAX) == want
+
+    def test_bit_equal_to_the_scalar_loop_without_a_crossing_and_at_lo(self):
+        fast = lambda x: exp_survival(x, ExponentialParams(2.0))
+        slow = lambda x: exp_survival(x, ExponentialParams(1.0))
+        assert self.scalar_loop(fast, slow, 0.5, 50.0) is None
+        assert crossover_point(fast, slow, 0.5, 50.0) is None
+        assert self.scalar_loop(fast, slow, 0.0, 50.0) == 0.0
+        assert crossover_point(fast, slow, 0.0, 50.0) == 0.0
 
     def test_survival_dominance_nontrivial_for_light_shape(self):
         # shape > 1 decays faster than the exponential at first; searching
