@@ -8,10 +8,11 @@ pdf" two-parameter variant kept for comparison, and the continuity-corrected
 normal approximation to the Poisson pmf.
 
 All evaluators accept a float or a numpy array for the evaluation point and
-return the matching kind. Masses and densities are computed in log space so
-large counts or means do not overflow, and survival functions come from their
-own closed forms rather than ``1 - cdf`` so deep-tail values keep full
-relative precision.
+return numpy's own result: a float64 array for an array, an ``np.float64`` (a
+``float`` subclass) for a scalar. Masses and densities are computed in log
+space so large counts or means do not overflow, and survival functions come
+from their own closed forms rather than ``1 - cdf`` so deep-tail values keep
+full relative precision.
 
 The log-factorial in the Poisson pmf is a port of the Cephes ``lgam`` routine
 (S. L. Moshier, *Methods and Programs for Mathematical Functions*, 1989), the
@@ -25,6 +26,7 @@ and ``np.log`` each differ from it in the last bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +110,9 @@ class ParetoTwoParams:
     def __post_init__(self):
         object.__setattr__(self, "shape", _positive_finite("shape", self.shape))
         object.__setattr__(self, "scale", _positive_finite("scale", self.scale))
+        if self.shape / self.scale == math.inf:  # the Lomax density at 0
+            raise ParameterError(f"shape / scale must not exceed the float maximum {sys.float_info.max:.6g}, "
+                                 f"got {self.shape!r} / {self.scale!r}")
 
 
 def _as_support(x, what: str, strict: bool = False) -> np.ndarray:
@@ -124,12 +129,6 @@ def _as_count(n) -> np.ndarray:
     if np.any(~np.isfinite(arr)) or np.any(arr < 0) or np.any(arr != np.floor(arr)):
         raise DomainError("count argument must be a nonnegative integer")
     return arr
-
-
-def _like(x, out):
-    if np.ndim(x) == 0:
-        return float(out)
-    return np.asarray(out, dtype=float)
 
 
 # --- Poisson count law ------------------------------------------------------
@@ -176,7 +175,7 @@ def poisson_pmf(n, p: PoissonParams):
     k = _as_count(n)
     m = p.rate
     log_fact = np.fromiter(map(_lgamma_integer, (k + 1.0).ravel().tolist()), float, k.size)
-    return _like(n, np.exp(k * math.log(m) - m - log_fact.reshape(k.shape)))
+    return np.exp(k * math.log(m) - m - log_fact.reshape(k.shape))
 
 
 # --- exponential baseline ---------------------------------------------------
@@ -184,19 +183,19 @@ def poisson_pmf(n, p: PoissonParams):
 def exp_pdf(x, p: ExponentialParams):
     """Density ``rate * exp(-rate x)`` on x >= 0."""
     arr = _as_support(x, "exp_pdf")
-    return _like(x, p.rate * np.exp(-p.rate * arr))
+    return p.rate * np.exp(-p.rate * arr)
 
 
 def exp_cdf(x, p: ExponentialParams):
     """``1 - exp(-rate x)`` on x >= 0."""
     arr = _as_support(x, "exp_cdf")
-    return _like(x, -np.expm1(-p.rate * arr))
+    return -np.expm1(-p.rate * arr)
 
 
 def exp_survival(x, p: ExponentialParams):
     """Tail probability ``exp(-rate x)``, computed directly."""
     arr = _as_support(x, "exp_survival")
-    return _like(x, np.exp(-p.rate * arr))
+    return np.exp(-p.rate * arr)
 
 
 # --- two-parameter variant kept as written ----------------------------------
@@ -217,7 +216,7 @@ def pareto2_cdf_shifted(x, p: ParetoTwoParams):
             f"is negative at x = 0 for shape = {p.shape!r}"
         )
     arr = _as_support(x, "pareto2_cdf_shifted")
-    return _like(x, -np.expm1(-p.scale * np.log(p.shape + arr)))
+    return -np.expm1(-p.scale * np.log(p.shape + arr))
 
 
 def pareto2_pdf_powerlaw(x, p: ParetoTwoParams):
@@ -228,7 +227,7 @@ def pareto2_pdf_powerlaw(x, p: ParetoTwoParams):
     the strictly positive domain.
     """
     arr = _as_support(x, "pareto2_pdf_powerlaw", strict=True)
-    return _like(x, (p.shape / p.scale) * np.exp(p.shape * (math.log(p.scale) - np.log(arr))))
+    return (p.shape / p.scale) * np.exp(p.shape * (math.log(p.scale) - np.log(arr)))
 
 
 # --- Lomax: the self-consistent two-parameter family -------------------------
@@ -236,21 +235,33 @@ def pareto2_pdf_powerlaw(x, p: ParetoTwoParams):
 # exact, so at scale 1 these are the one-parameter Pareto closed forms bit for
 # bit; the ``pareto1_*`` names below are these functions.
 
+def _log1p_ratio(arr: np.ndarray, scale: float):
+    """``log1p(x / scale)``, the one logarithm of the Lomax functions. Where
+    ``x / scale`` overflows it is ``log(x) - log(scale)``, since 1 is far
+    below an ulp of the ratio there."""
+    with np.errstate(over="ignore"):  # only a scale below 1 can overflow
+        out = np.log1p(arr / scale)
+    if scale >= 1.0 or not np.isinf(out).any():
+        return out
+    with np.errstate(divide="ignore"):  # log(0) at x = 0, where out is kept
+        return np.where(out < math.inf, out, np.log(arr) - math.log(scale))
+
+
 def lomax_survival(x, p: ParetoTwoParams):
     """Tail probability ``(scale / (scale + x))^shape``, direct closed form;
     ``(1 + x)^(-shape)`` at scale 1.
 
-    Stays strictly positive arbitrarily deep into the tail, which is the
-    whole point of the heavy-tailed comparison.
+    Stays strictly positive arbitrarily deep into the tail, down to the
+    smallest float, which is the whole point of the heavy-tailed comparison.
     """
     arr = _as_support(x, "lomax_survival")
-    return _like(x, np.exp(-p.shape * np.log1p(arr / p.scale)))
+    return np.exp(-p.shape * _log1p_ratio(arr, p.scale))
 
 
 def lomax_cdf(x, p: ParetoTwoParams):
     """``1 - (scale / (scale + x))^shape``; ``1 - (1 + x)^(-shape)`` at scale 1."""
     arr = _as_support(x, "lomax_cdf")
-    return _like(x, -np.expm1(-p.shape * np.log1p(arr / p.scale)))
+    return -np.expm1(-p.shape * _log1p_ratio(arr, p.scale))
 
 
 def lomax_pdf(x, p: ParetoTwoParams):
@@ -258,10 +269,15 @@ def lomax_pdf(x, p: ParetoTwoParams):
     ``shape / (1 + x)^(shape + 1)`` at scale 1.
 
     Exactly the derivative of :func:`lomax_cdf` everywhere on x > 0, unlike
-    the shifted/power-law variant pair above.
+    the shifted/power-law variant pair above. Where the direct product
+    underflows to 0, ``shape / scale`` joins the exponent instead.
     """
     arr = _as_support(x, "lomax_pdf")
-    return _like(x, (p.shape / p.scale) * np.exp(-(p.shape + 1.0) * np.log1p(arr / p.scale)))
+    log_tail = -(p.shape + 1.0) * _log1p_ratio(arr, p.scale)
+    pdf = (p.shape / p.scale) * np.exp(log_tail)
+    if (pdf == 0.0).any():  # [()] keeps the result of a scalar x a scalar
+        pdf = np.where(pdf > 0.0, pdf, np.exp(math.log(p.shape) - math.log(p.scale) + log_tail))[()]
+    return pdf
 
 
 pareto1_cdf, pareto1_pdf, pareto1_survival = lomax_cdf, lomax_pdf, lomax_survival
@@ -279,7 +295,7 @@ def normal_approx_pmf(n, p: PoissonParams):
     k = _as_count(n)
     m = p.rate
     s = math.sqrt(m)
-    return _like(n, _normal_cdf((k + 0.5 - m) / s) - _normal_cdf((k - 0.5 - m) / s))
+    return _normal_cdf((k + 0.5 - m) / s) - _normal_cdf((k - 0.5 - m) / s)
 
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:

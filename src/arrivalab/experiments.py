@@ -466,15 +466,14 @@ def _ks_repetition(cfg, block, k, sampler, params, cdf) -> bool:
 
 
 def _derivative_check(cfg, name, block, cdf, pdf, draw_point) -> ValidationCheck:
-    # probe domains keep cdf well away from 1 so the central difference
-    # retains enough relative precision for the 1e-6 comparison
-    stream = _stream(cfg, block)
+    # probe domains keep cdf well away from 1 so the central difference keeps enough
+    # relative precision for 1e-6; one draw serves all probes, each with its own params
     worst = 0.0
-    for _ in range(DERIVATIVE_POINTS):
-        x, params = draw_point(stream.uniform_open(3))
-        rel = abs(_central_difference(cdf, x, params) - pdf(x, params)) / pdf(x, params)
-        worst = max(worst, rel)
-    return _check(name, worst, DERIVATIVE_RTOL, worst < DERIVATIVE_RTOL)
+    for u in _stream(cfg, block).uniform_open((DERIVATIVE_POINTS, 3)):
+        x, params = draw_point(u)
+        density = pdf(x, params)
+        worst = max(worst, abs(_central_difference(cdf, x, params) - density) / density)
+    return _check(name, float(worst), DERIVATIVE_RTOL, worst < DERIVATIVE_RTOL)
 
 
 def _exp_point(u):

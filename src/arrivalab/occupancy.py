@@ -190,8 +190,10 @@ def peak_stats(s: OccupancySeries) -> PeakStats:
     # integrate the step function: level counts[i] holds on [bp[i], bp[i+1]),
     # zero before the first event, last level runs out to end_time
     edges = np.concatenate([s.breakpoints, [s.end_time]])
-    area = float(np.sum(s.counts * np.diff(edges)))
-    return PeakStats(peak, peak_time, area / s.end_time)
+    with np.errstate(over="ignore"):  # spans near the float maximum: weight the levels instead
+        area = float(np.sum(s.counts * np.diff(edges)))
+    mean = area / s.end_time if area < math.inf else float(np.sum(s.counts * (np.diff(edges) / s.end_time)))
+    return PeakStats(peak, peak_time, mean)
 
 
 def blocking_fraction(s: OccupancySeries) -> float:

@@ -104,15 +104,13 @@ def lomax_from_uniform(u, p: ParetoTwoParams):
 
 def sample_exponential(r: RngStream, p: ExponentialParams, size=None):
     """Exponential variate(s), strictly positive."""
-    x = exponential_from_uniform(r.uniform_open(size), p)
-    return float(x) if size is None else x
+    return exponential_from_uniform(r.uniform_open(size), p)
 
 
 def sample_lomax(r: RngStream, p: ParetoTwoParams, size=None):
     """Lomax variate(s), strictly positive; one-parameter Pareto variates for
     ``ParetoOneParams`` (scale 1)."""
-    x = lomax_from_uniform(r.uniform_open(size), p)
-    return float(x) if size is None else x
+    return lomax_from_uniform(r.uniform_open(size), p)
 
 
 # the one-parameter Pareto is Lomax at scale 1, which ``ParetoOneParams`` carries

@@ -100,21 +100,21 @@ def _ecdf_steps(n: int) -> np.ndarray:
 def crossover_point(f, g, lo: float, hi: float):
     """Smallest x in [lo, hi] where f(x) >= g(x), or None if f stays below.
 
-    Grid scan of ``CROSSOVER_GRID`` steps to bracket the first sign change of
-    f - g, then bisection to absolute tolerance ``CROSSOVER_TOL``. If f >= g
-    already at ``lo`` the interval start is returned at once. ``f`` and ``g``
-    take a float or an array of points: the scan calls each once on the grid.
+    Grid scan of ``CROSSOVER_GRID`` steps from ``lo`` to bracket the first
+    sign change of f - g (a hit at ``lo`` returns ``lo``), then bisection to
+    absolute tolerance ``CROSSOVER_TOL``. ``f`` and ``g`` take a float or an
+    array of points: the scan calls each once on the whole grid.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise DomainError(f"need a finite interval with lo < hi, got [{lo!r}, {hi!r}]")
-    if f(lo) >= g(lo):
-        return float(lo)
     xs = np.linspace(lo, hi, CROSSOVER_GRID + 1)
     with np.errstate(over="ignore"):  # the scan also evaluates points past the first hit
-        hits = np.flatnonzero(f(xs[1:]) >= g(xs[1:]))
+        hits = np.flatnonzero(f(xs) >= g(xs))
     if not hits.size:
         return None
-    a, b = float(xs[hits[0]]), float(xs[hits[0] + 1])
+    if hits[0] == 0:
+        return float(lo)
+    a, b = float(xs[hits[0] - 1]), float(xs[hits[0]])
     while b - a > CROSSOVER_TOL:
         mid = 0.5 * (a + b)
         if f(mid) >= g(mid):

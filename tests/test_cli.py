@@ -66,6 +66,15 @@ class TestSweepAlpha:
         assert prov["alphas"] == "0.5"
         assert "alphas" in prov["overrides"]
 
+    def test_lomax_density_at_zero_past_the_float_maximum_exits_two(self, tmp_path):
+        # 0.5 / 1e-320 overflows: the Lomax pdf at 0 is not a float
+        out = tmp_path / "o"
+        proc = run_cli(["sweep-alpha", "--alpha", "0.5", "--beta", "1e-320", "--horizon", "5", "--replications", "1",
+                        "--x-max", "1", "--x-step", "0.5", "--out", str(out)])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: shape / scale must not exceed the float maximum 1.79769e+308, got 0.5 / 1e-320\n"
+        assert not out.exists()
+
 
 class TestSweepRate:
     def test_default_five_rate_cells(self, tmp_path):
@@ -241,6 +250,13 @@ class TestSimulate:
         trace = generate_trace("exponential", ExponentialParams(0.9), 20.0, RngStream(11, 0))
         for row, expected in zip(rows[1:], trace.times):
             assert float(row.split(",")[1]) == expected
+
+    def test_mean_occupancy_over_a_span_near_the_float_maximum(self, tmp_path):
+        args = ["simulate", "--arrivals", "1,2", "--horizon", "1.7e308", "--holding", "infinite",
+                "--capacity", "unbounded", "--out", str(tmp_path)]
+        assert main(args) == 0
+        # (1 * 1 + 2 * (1.7e308 - 2)) / 1.7e308 rounds to 2
+        assert float(provenance(tmp_path / "occupancy.csv")["mean_occupancy"]) == pytest.approx(2.0, rel=1e-12)
 
 
 class TestValidate:
@@ -627,11 +643,15 @@ class TestConfigResolution:
         ["compare", "--exp-rate", "1e306"],
         ["simulate", "--horizon", "10"],
         ["validate"],
+        # x / 1e-308 overflows past x = 1.8; the Lomax curves go on in log space
+        ["compare", "--alpha", "0.5", "--beta", "1e-308"],
+        # the time-weighted area overflows; its mean does not
+        ["simulate", "--arrivals", "1,2", "--horizon", "1.7e308", "--holding", "infinite", "--capacity", "unbounded"],
         # at seed 0 a shape-0.01 gap overflows to inf, which only ends its trace
         ["sweep-alpha", "--alpha", "0.01", "--horizon", "10", "--replications", "1", "--seed", "0"],
     ],
     ids=["sweep-alpha", "sweep-rate", "compare", "compare-huge-exp-rate", "simulate", "validate",
-         "sweep-alpha-tiny-shape"],
+         "compare-tiny-beta", "simulate-huge-horizon", "sweep-alpha-tiny-shape"],
 )
 def test_command_writes_nothing_on_stderr(args, tmp_path):
     proc = run_cli([*args, "--out", str(tmp_path)])

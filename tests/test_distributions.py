@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -239,6 +240,41 @@ class TestLomax:
             fd = central_difference(lambda x_: lomax_cdf(x_, p), x)
             assert fd == pytest.approx(lomax_pdf(x, p), rel=1e-6)
 
+    def test_deep_tail_past_an_overflowing_ratio(self):
+        # at scale 1e-300, x / scale overflows from x = 1.8e8 up, and the pdf's
+        # direct product underflows to 0 from about x = 1e-84 up (5e-151 at x = 1)
+        shape, scale = 0.5, 1e-300
+        p = ParetoTwoParams(shape, scale)
+        xs = np.array([0.0, 1e-300, 1.0, 1e6, 1e8, 1e10, 1e100, 1e300])
+        with localcontext() as ctx:
+            ctx.prec = 50
+            a, s = Decimal(shape), Decimal(scale)
+            tail = [s / (s + Decimal(x)) for x in xs]
+            want = {
+                lomax_survival: [float(t ** a) for t in tail],
+                lomax_cdf: [float(1 - t ** a) for t in tail],
+                lomax_pdf: [float(a / s * t ** (a + 1)) for t in tail],
+            }
+        assert want[lomax_survival][5] == pytest.approx(1e-155) and want[lomax_pdf][5] == pytest.approx(5e-166)
+        for fn, values in want.items():
+            got = fn(xs, p)
+            for x, g, w in zip(xs, got, values):
+                assert fn(x, p) == g
+                assert g == pytest.approx(w, rel=1e-12, abs=0), (fn.__name__, x)
+        # where the ratio is finite and the pdf is not 0 the bits are the plain closed forms'
+        log1p = np.log1p(xs[:5] / scale)
+        assert same_bits(lomax_survival(xs, p)[:5], np.exp(-shape * log1p))
+        assert same_bits(lomax_cdf(xs, p)[:5], -np.expm1(-shape * log1p))
+        assert same_bits(lomax_pdf(xs, p)[:2], (shape / scale) * np.exp(-(shape + 1.0) * log1p[:2]))
+
+    def test_refuses_a_density_at_zero_past_the_float_maximum(self):
+        with pytest.raises(ParameterError, match=r"^shape / scale must not exceed the float maximum "
+                                                 r"1\.79769e\+308, got 0\.5 / 1e-320$"):
+            ParetoTwoParams(0.5, 1e-320)
+        p = ParetoTwoParams(0.5, 1e-308)  # 5e307 is a float
+        assert lomax_pdf(0.0, p) == 0.5 / 1e-308
+        assert list(lomax_pdf([0.0, 1.0], p)) == pytest.approx([5e307, 0.5 * 1e-308 ** 0.5], rel=1e-12)
+
 
 class TestNormalApproximation:
     def test_close_at_large_mean(self):
@@ -293,7 +329,7 @@ class TestNormalCdfMatchesScipy:
         np.testing.assert_allclose(got, ndtr_mass(k, 2.5), rtol=0, atol=1e-15)
         for n in (3, np.array(3.0)):
             value = normal_approx_pmf(n, p)
-            assert type(value) is float
+            assert isinstance(value, float)
             assert value == pytest.approx(float(ndtr_mass(3.0, 2.5)), rel=0, abs=1e-15)
 
     def test_suite_errors_match_and_decrease(self):

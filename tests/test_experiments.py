@@ -21,7 +21,15 @@ from arrivalab import (
 import arrivalab.cli
 import arrivalab.experiments
 from arrivalab.cli import main
-from arrivalab.experiments import HOLDING_STREAM_OFFSET
+from arrivalab.distributions import exp_cdf, exp_pdf, lomax_cdf, lomax_pdf
+from arrivalab.experiments import (
+    DERIVATIVE_POINTS,
+    HOLDING_STREAM_OFFSET,
+    _derivative_check,
+    _exp_point,
+    _lomax_point,
+    _pareto1_point,
+)
 
 FAST = ExperimentConfig(replications=3, horizon=30.0)
 
@@ -285,6 +293,33 @@ class TestValidationSuite:
         text = report.render()
         assert text.count("\n") == len(report.checks) + 2
         assert text.endswith("result: PASS\n")
+
+    @pytest.mark.parametrize("cdf,pdf,point", [(exp_cdf, exp_pdf, _exp_point), (lomax_cdf, lomax_pdf, _pareto1_point),
+                                               (lomax_cdf, lomax_pdf, _lomax_point)],
+                             ids=["exponential", "pareto1", "lomax"])
+    def test_derivative_check_draws_once_and_makes_three_calls_a_probe(self, cdf, pdf, point, monkeypatch):
+        draws, calls = [], []
+        draw = RngStream.uniform_open
+
+        def counted_draw(stream, size=None):
+            draws.append(size)
+            return draw(stream, size)
+
+        def counted(role, fn):
+            def call(x, params):
+                calls.append((role, x, params))
+                return fn(x, params)
+            return call
+
+        monkeypatch.setattr(RngStream, "uniform_open", counted_draw)
+        check = _derivative_check(ExperimentConfig(), "d", 0, counted("cdf", cdf), counted("pdf", pdf), point)
+        assert check.status == "pass"
+        assert draws == [(DERIVATIVE_POINTS, 3)]
+        # per probe: the pdf at x, then the cdf at x + h and x - h, all at the probe's params
+        assert len(calls) == 3 * DERIVATIVE_POINTS
+        for (r1, x1, p1), (r2, x2, p2), (r3, x3, p3) in zip(calls[::3], calls[1::3], calls[2::3]):
+            assert (r1, r2, r3) == ("pdf", "cdf", "cdf") and p1 == p2 == p3
+            assert x2 == x1 + 1e-5 and x3 == x1 - 1e-5
 
 
 class TestReproducibility:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -57,6 +58,14 @@ class TestHandTracedFixtures:
         trace = fixed_trace([5.0], horizon=10.0)
         series = simulate_occupancy(trace, LocationConfig(None, INFINITE_HOLD), RngStream(0, 0))
         assert peak_stats(series).mean_occupancy == pytest.approx(0.5, rel=1e-15)
+
+    def test_mean_over_a_span_near_the_float_maximum(self):
+        # the area 1 * 1 + 2 * (1.7e308 - 2) overflows; its mean, about 2, does not
+        end = 1.7e308
+        series = simulate_occupancy(fixed_trace([1.0, 2.0], horizon=end), LocationConfig(None, INFINITE_HOLD),
+                                    RngStream(0, 0))
+        want = float((1 + 2 * (Fraction(end) - 2)) / Fraction(end))
+        assert peak_stats(series).mean_occupancy == pytest.approx(want, rel=1e-12)
 
     def test_departure_ties_release_capacity_first(self):
         # second arrival lands exactly when the first node departs; the
