@@ -198,6 +198,16 @@ def exp_survival(x, p: ExponentialParams):
     return np.exp(-p.rate * arr)
 
 
+def _density(p: ParetoTwoParams, log_tail):
+    """``(shape / scale) * exp(log_tail)``, the form of both two-parameter
+    densities. Where that product underflows to 0, ``shape / scale`` joins
+    the exponent instead, so a density that is a float is not flushed."""
+    pdf = (p.shape / p.scale) * np.exp(log_tail)
+    if (pdf == 0.0).any():  # [()] keeps the result of a scalar x a scalar
+        pdf = np.where(pdf > 0.0, pdf, np.exp(math.log(p.shape) - math.log(p.scale) + log_tail))[()]
+    return pdf
+
+
 # --- two-parameter variant kept as written ----------------------------------
 
 def pareto2_cdf_shifted(x, p: ParetoTwoParams):
@@ -227,7 +237,7 @@ def pareto2_pdf_powerlaw(x, p: ParetoTwoParams):
     the strictly positive domain.
     """
     arr = _as_support(x, "pareto2_pdf_powerlaw", strict=True)
-    return (p.shape / p.scale) * np.exp(p.shape * (math.log(p.scale) - np.log(arr)))
+    return _density(p, p.shape * (math.log(p.scale) - np.log(arr)))
 
 
 # --- Lomax: the self-consistent two-parameter family -------------------------
@@ -273,11 +283,7 @@ def lomax_pdf(x, p: ParetoTwoParams):
     underflows to 0, ``shape / scale`` joins the exponent instead.
     """
     arr = _as_support(x, "lomax_pdf")
-    log_tail = -(p.shape + 1.0) * _log1p_ratio(arr, p.scale)
-    pdf = (p.shape / p.scale) * np.exp(log_tail)
-    if (pdf == 0.0).any():  # [()] keeps the result of a scalar x a scalar
-        pdf = np.where(pdf > 0.0, pdf, np.exp(math.log(p.shape) - math.log(p.scale) + log_tail))[()]
-    return pdf
+    return _density(p, -(p.shape + 1.0) * _log1p_ratio(arr, p.scale))
 
 
 pareto1_cdf, pareto1_pdf, pareto1_survival = lomax_cdf, lomax_pdf, lomax_survival

@@ -152,11 +152,13 @@ class ExperimentConfig:
 
     def location(self) -> LocationConfig:
         # Lomax holding: holding_rate plays the scale role, shape fixed heavy-ish
-        params = (
-            None if self.holding_family == INFINITE_HOLD
-            else ParetoTwoParams(1.5, 1.0 / self.holding_rate) if self.holding_family == "lomax"
-            else ExponentialParams(self.holding_rate)
-        )
+        if self.holding_family == "lomax":
+            try:
+                params = ParetoTwoParams(1.5, 1.0 / self.holding_rate)
+            except ParameterError as exc:  # a scale that overflows or a density at 0 that does
+                raise ParameterError(f"holding law lomax at holding_rate {self.holding_rate!r}: {exc}") from None
+        else:
+            params = None if self.holding_family == INFINITE_HOLD else ExponentialParams(self.holding_rate)
         return LocationConfig(self.effective_capacity(), self.holding_family, params)
 
 
@@ -298,40 +300,39 @@ def _fork_map(fn, jobs: list):
     return out
 
 
-def _replication_summary(cfg: ExperimentConfig, loc: LocationConfig, family: str, params, rep: int):
-    """Peak, time-average occupancy and blocking fraction (NaN for an empty
-    trace) of one sweep replication, on its own arrival and holding streams."""
-    trace = generate_trace(family, params, cfg.horizon, RngStream(cfg.seed, rep))
-    series = simulate_occupancy(trace, loc, RngStream(cfg.seed, HOLDING_STREAM_OFFSET + rep))
-    ps = peak_stats(series)
-    return ps.peak_count, ps.mean_occupancy, blocking_fraction(series)
+# the columns of a sweep's ``*_occupancy`` table, in order: each maps one
+# replication's series and its peak stats to a value. The lambdas look up
+# ``blocking_fraction`` when called, so a name rebound on this module after
+# import (a wrapper, a test double) is the one called
+_REPLICATION_METRICS = {
+    "peak_mean": lambda series, ps: ps.peak_count,
+    "occupancy_mean": lambda series, ps: ps.mean_occupancy,
+    "blocking_mean": lambda series, ps: blocking_fraction(series),  # NaN for an empty trace
+}
 
 
 def _occupancy_summary(cfg: ExperimentConfig, axis: str, family: str, cells) -> SeriesTable:
     """The ``{axis}_occupancy`` table of ``sweep-{axis}``: per ``(x, params)``
-    cell, the mean peak, mean time-average occupancy and mean blocking
-    fraction over the replications (replication index = stream id).
+    cell, the mean of each ``_REPLICATION_METRICS`` column over the
+    replications (replication index = stream id).
 
-    Replications with an empty trace have a NaN blocking fraction, which is
-    left out of its mean; a cell with none left reads NaN.
+    Each column's mean leaves out the replications where its metric is NaN;
+    a cell with none left reads NaN.
     """
     loc = cfg.location()
-    summaries = []
+    rows = []
     for _, params in cells:
-        peaks, means, blocks = zip(*(_replication_summary(cfg, loc, family, params, rep)
-                                     for rep in range(cfg.replications)))
-        blocks = [b for b in blocks if not np.isnan(b)]
-        block_mean = float(np.mean(blocks)) if blocks else float("nan")
-        summaries.append((float(np.mean(peaks)), float(np.mean(means)), block_mean))
+        values = []
+        for rep in range(cfg.replications):
+            trace = generate_trace(family, params, cfg.horizon, RngStream(cfg.seed, rep))
+            series = simulate_occupancy(trace, loc, RngStream(cfg.seed, HOLDING_STREAM_OFFSET + rep))
+            ps = peak_stats(series)
+            values.append([metric(series, ps) for metric in _REPLICATION_METRICS.values()])
+        kept = [col[~np.isnan(col)] for col in np.array(values, dtype=float).T]
+        rows.append([np.mean(col) if col.size else np.nan for col in kept])
     prov = _base_provenance(cfg, f"sweep-{axis}", cell="occupancy-summary", family=family)
-    peak_mean, occupancy_mean, blocking_mean = (np.asarray(col) for col in zip(*summaries))
-    return SeriesTable(
-        f"{axis}_occupancy",
-        axis,
-        np.asarray([x for x, _ in cells]),
-        {"peak_mean": peak_mean, "occupancy_mean": occupancy_mean, "blocking_mean": blocking_mean},
-        prov,
-    )
+    return SeriesTable(f"{axis}_occupancy", axis, np.asarray([x for x, _ in cells]),
+                       dict(zip(_REPLICATION_METRICS, np.array(rows).T)), prov)
 
 
 def run_alpha_sweep(cfg: ExperimentConfig) -> list[SeriesTable]:

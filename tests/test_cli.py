@@ -208,6 +208,15 @@ class TestSimulate:
         assert err.count("\n") == 1 and err.startswith("error: a departure time overflowed to inf")
         assert not out.exists()
 
+    @pytest.mark.parametrize("rate", ["1.7e308", "5e-324"], ids=["density-at-0-overflows", "scale-overflows"])
+    def test_lomax_holding_law_errors_name_the_law_and_its_rate(self, rate, tmp_path, capsys):
+        # refused by the holding law's scale, whatever factor of 1 / holding_rate it is
+        out = tmp_path / "o"
+        assert main(["simulate", "--holding", "lomax", "--holding-rate", rate, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: holding law lomax at holding_rate {float(rate)!r}: ")
+        assert not out.exists()
+
     def test_sweep_rejects_overflowing_holding_law_before_any_write(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["sweep-rate", "--holding-rate", "1e-310", "--out", str(out)]) == 2

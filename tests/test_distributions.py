@@ -208,6 +208,18 @@ class TestParetoTwoAsWritten:
         with pytest.raises(DomainError):
             pareto2_pdf_powerlaw(0.0, ParetoTwoParams(1.5, 1.0))
 
+    def test_powerlaw_pdf_past_an_underflowing_product(self):
+        # at scale 1e-308 the direct product (shape / scale) * exp(shape * log(scale / x))
+        # underflows to 0 from x = 0.5 up, where the density is 1.5 * 1e-154 / x**1.5
+        p = ParetoTwoParams(1.5, 1e-308)
+        xs = np.array([1e-308, 1e-200, 0.5, 1.0, 1.5, 2.0])
+        got = pareto2_pdf_powerlaw(xs, p)
+        assert list(got[2:]) == pytest.approx(list(1.5 * math.sqrt(1e-308) / xs[2:] ** 1.5), rel=1e-12)
+        assert got[2] == pytest.approx(4.2426e-154, rel=1e-4) and got[5] == pytest.approx(5.3033e-155, rel=1e-4)
+        assert [pareto2_pdf_powerlaw(x, p) for x in xs] == list(got)
+        # where the product is not 0 its bits are kept
+        assert same_bits(got[:2], (1.5 / 1e-308) * np.exp(1.5 * (math.log(1e-308) - np.log(xs[:2]))))
+
     def test_pair_is_not_derivative_consistent(self):
         # the deliberate mismatch: the power-law density is far from the
         # shifted CDF's finite-difference derivative

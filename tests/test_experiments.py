@@ -176,6 +176,28 @@ class TestRateSweep:
         assert math.isnan(summary.columns["blocking_mean"][0])
         assert summary.columns["blocking_mean"][1] == float(np.mean(kept))
 
+    def test_each_metric_mean_leaves_out_its_own_nan_values(self, monkeypatch):
+        # one more metric, NaN on every second replication, and one NaN on all:
+        # each column leaves out only its own NaN values
+        cfg = ExperimentConfig(rates=(0.5, 0.9), horizon=20.0, replications=4)
+        before = table_by_name(run_rate_sweep(cfg), "rate_occupancy")
+        admitted = []
+
+        def admitted_on_even_replications(series, ps):
+            admitted.append(series.admitted)
+            return series.admitted if len(admitted) % 2 else math.nan
+
+        metrics = arrivalab.experiments._REPLICATION_METRICS
+        monkeypatch.setitem(metrics, "admitted_mean", admitted_on_even_replications)
+        monkeypatch.setitem(metrics, "never_mean", lambda series, ps: math.nan)
+        summary = table_by_name(run_rate_sweep(cfg), "rate_occupancy")
+        assert summary.column_names == ("peak_mean", "occupancy_mean", "blocking_mean", "admitted_mean", "never_mean")
+        for name in before.column_names:
+            np.testing.assert_array_equal(summary.columns[name], before.columns[name])
+        assert len(admitted) == 8 and 0 not in admitted
+        assert list(summary.columns["admitted_mean"]) == [np.mean(admitted[0:4:2]), np.mean(admitted[4:8:2])]
+        assert np.isnan(summary.columns["never_mean"]).all()
+
     @pytest.mark.parametrize("rows", [10**6, 10**6 + 1])
     def test_pmf_rows_share_the_curve_grid_bound(self, rows, monkeypatch):
         # a pmf call past the check stands in for the million-row table, which is never built

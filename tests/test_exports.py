@@ -124,6 +124,17 @@ def test_perfbench_tracer_sees_every_sweep_replication(tmp_path):
     assert record["counters"]["experiments.replications"] == cells * 2
 
 
+def test_perfbench_tracer_sees_each_replication_metric_call(tmp_path):
+    # the sweep's metric table looks up peak_stats and blocking_fraction on the
+    # experiments module when called; functions bound at import would escape
+    # the tracer's wrappers, and these spans would read 0
+    record = run_tracer(tmp_path, "sweep-rate", "--replications", "2", "--horizon", "10")
+    calls = len(arrivalab.ExperimentConfig().rates) * 2
+    names = [span[0] for span in record["spans"]]
+    for name in ("peak_stats", "blocking_fraction", "simulate_occupancy", "generate_trace"):
+        assert names.count(name) == calls, name
+
+
 def test_perfbench_tracer_counts_every_csv_row_of_simulate(tmp_path):
     # csvio.rows is counted at the writers' calls, one per file, so a file of
     # many 4096-row chunks counts each of its rows once

@@ -92,3 +92,41 @@ def test_mginf_mean_occupancy_is_rate_times_mean_hold(arrival_family, arrival_pa
     loc = LocationConfig(None, hold_family, hold_params)
     got = mean_over_seeds(lambda s: peak_stats(s).mean_occupancy, arrival_family, arrival_params, loc)
     assert got == pytest.approx(2.0 * 5.0, rel=OCCUPANCY_RTOL)
+
+
+# --- the start-empty M/G/inf transient ------------------------------------------
+# Poisson(1) arrivals into an unbounded location that starts empty, Lomax(a, s)
+# holds of mean 1: E N(t) = lambda * m(t) with m(t) = s / (a - 1) * (1 - (1 + t / s)^(1 - a))
+# (Eick, Massey and Whitt, "The Physics of the M_t/G/inf Queue", Oper. Res. 41(4),
+# 1993), whose average over [0, T] is closed form for a != 2
+TRANSIENT_HORIZON = 50.0
+TRANSIENT_REPLICATIONS = 400
+
+
+def start_empty_mean(a: float, s: float, horizon: float) -> float:
+    """The average of ``m(t)`` over ``[0, horizon]`` at arrival rate 1, for ``a != 2``."""
+    return s / (a - 1.0) * (1.0 - s * ((1.0 + horizon / s) ** (2.0 - a) - 1.0) / ((2.0 - a) * horizon))
+
+
+def average_over_horizon(series, horizon: float) -> float:
+    # the step integral over [0, horizon] alone: the series' end_time runs on
+    # to the last departure, so peak_stats' mean covers a longer span
+    edges = np.minimum(np.append(series.breakpoints, horizon), horizon)
+    return float(np.sum(series.counts * np.diff(edges))) / horizon
+
+
+@pytest.mark.parametrize("shape", [1.5, 3.0])
+def test_start_empty_mginf_average_matches_its_closed_form(shape):
+    scale = shape - 1.0  # mean hold 1
+    loc = LocationConfig(None, "lomax", ParetoTwoParams(shape, scale))
+    averages = [
+        average_over_horizon(simulate_occupancy(
+            generate_trace("exponential", ExponentialParams(1.0), TRANSIENT_HORIZON, RngStream(seed, 0)),
+            loc, RngStream(seed, 1)), TRANSIENT_HORIZON)
+        for seed in range(TRANSIENT_REPLICATIONS)  # streams laid out as in mean_over_seeds
+    ]
+    got = float(np.mean(averages))
+    se = float(np.std(averages, ddof=1)) / np.sqrt(TRANSIENT_REPLICATIONS)
+    assert abs(got - start_empty_mean(shape, scale, TRANSIENT_HORIZON)) < 4.0 * se
+    if shape == 1.5:  # the transient is long: the run reads well below lambda * E[S] = 1
+        assert got < 1.0 - 4.0 * se
