@@ -15,7 +15,7 @@ import unicodedata
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from ._version import __version__
+from ._version import GENERATOR
 from .arrivals import fixed_trace, generate_trace
 from .csvio import write_manifest, write_occupancy_csv, write_report, write_table_csv, write_trace_csv
 from .errors import DomainError, ParameterError
@@ -101,7 +101,8 @@ _KEYS = {
     "capacity": _Key(_capacity, "--capacity", "location capacity (integer, or 'unbounded' for simulate)", _RUNS),
     "holding": _Key(_one_of(HOLDING_FAMILIES, "holding family"), "--holding",
                     f"holding-time family: {' | '.join(HOLDING_FAMILIES)}", _RUNS),
-    "holding_rate": _Key(float, "--holding-rate", "holding-time rate (1/mean)", _RUNS),
+    "holding_rate": _Key(float, "--holding-rate", "holding-time rate r: exponential(r), mean 1/r; "
+                         "lomax runs Lomax(1.5, 1/r), mean 2/r", _RUNS),
     "family": _Key(_one_of(FAMILIES, "arrival family"), "--family",
                    f"arrival-gap family: {' | '.join(FAMILIES)}", "simulate"),
     "arrivals": _Key(_floats, "--arrivals", "comma-separated explicit arrival times (fixture)", "simulate"),
@@ -109,8 +110,8 @@ _KEYS = {
 }
 KNOWN_CONFIG_KEYS = frozenset(_KEYS)
 _PLURALS = {"alpha": "alphas", "beta": "betas", "rate": "rates"}
-# arrival params field -> (the sweep list it comes from, simulate's value if unset)
-_SIMULATE_FIELDS = {"rate": ("rates", 0.9), "shape": ("alphas", 0.5), "scale": ("betas", 1.0)}
+# arrival params field -> (the singular config key that sets it, simulate's value if unset)
+_SIMULATE_FIELDS = {"rate": ("rate", 0.9), "shape": ("alpha", 0.5), "scale": ("beta", 1.0)}
 
 
 def load_config_file(path) -> dict:
@@ -190,12 +191,13 @@ def _cmd_tables(args) -> int:
 
 
 def _single(cfg: ExperimentConfig, key: str, default: float) -> float:
-    """The one value simulate takes from a sweep list; ``default`` unless set."""
-    if key not in cfg.overrides:
+    """The one value simulate takes for a singular key from its sweep list; ``default`` unless set."""
+    plural = _PLURALS[key]
+    if plural not in cfg.overrides:
         return default
-    entries = getattr(cfg, key)
+    entries = getattr(cfg, plural)
     if len(entries) != 1:
-        raise ParameterError(f"simulate needs a single {key[:-1]}, got {key} = {entries}")
+        raise ParameterError(f"simulate needs a single {key}, got {plural} = {entries}")
     return entries[0]
 
 
@@ -213,14 +215,14 @@ def _cmd_simulate(args) -> int:
         # only the family's own fields: a sweep list it never reads may hold many values
         values = {f.name: _single(cfg, *_SIMULATE_FIELDS[f.name]) for f in dataclasses.fields(params_type)}
         params = params_type(**values)
-        params_desc = " ".join(f"{_SIMULATE_FIELDS[name][0][:-1]}={v!r}" for name, v in values.items())
+        params_desc = " ".join(f"{_SIMULATE_FIELDS[name][0]}={v!r}" for name, v in values.items())
         trace = generate_trace(family, params, cfg.horizon, RngStream(cfg.seed, 0))
     # here capacity None means unbounded, where ExperimentConfig reads it as node_budget
     loc = dataclasses.replace(cfg.location(), capacity=cfg.capacity)
     series = simulate_occupancy(trace, loc, RngStream(cfg.seed, HOLDING_STREAM_OFFSET))
 
     prov = {
-        "generator": f"arrivalab {__version__}",
+        "generator": GENERATOR,
         "command": "simulate",
         "label": str(extra.get("label", "simulate")),
         "family": family,
@@ -261,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Arrival-process laboratory: heavy-tailed vs exponential arrivals, "
         "capacity-bounded occupancy, deterministic CSV output.",
     )
-    parser.add_argument("--version", action="version", version=f"arrivalab {__version__}")
+    parser.add_argument("--version", action="version", version=GENERATOR)
     sub = parser.add_subparsers(dest="command", required=True)
     # the runners are read from this module's globals on each call, so a wrapper set on them later is seen
     for command, func, run, help in (

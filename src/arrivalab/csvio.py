@@ -61,8 +61,8 @@ def _write_csv(path, provenance: dict[str, str], header: str, row: str, *columns
 
 def write_table_csv(path, table: SeriesTable) -> Path:
     """One SeriesTable as provenance header + x column + named y columns."""
-    cols = [table.x] + [table.columns[name] for name in table.column_names]
-    return _write_csv(path, table.provenance, ",".join([table.x_label, *table.column_names]),
+    cols = [table.x, *table.columns.values()]
+    return _write_csv(path, table.provenance, ",".join([table.x_label, *table.columns]),
                       ",".join([_FLOAT] * len(cols)) + "\n", *cols)
 
 
@@ -97,10 +97,7 @@ def sha256_file(path) -> str:
 
 
 def write_manifest(outdir, filenames, provenance: dict[str, str] | None = None) -> Path:
-    """Checksum manifest ``manifest.txt`` over the written outputs, sorted by filename."""
+    """Checksum manifest ``manifest.txt``: a report of one line per output, sorted by filename."""
     outdir = Path(outdir)
-    lines = _provenance_lines(provenance or {})
-    lines += [f"{sha256_file(outdir / fn)}  {fn}" for fn in sorted(filenames)]
-    path = outdir / "manifest.txt"
-    path.write_text("\n".join(lines) + "\n", **_TEXT)
-    return path
+    sums = "".join(f"{sha256_file(outdir / fn)}  {fn}\n" for fn in sorted(filenames))
+    return write_report(outdir / "manifest.txt", sums, provenance or {})

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._version import __version__
+from ._version import GENERATOR
 from .arrivals import generate_trace
 from .distributions import (
     ExponentialParams,
@@ -147,9 +147,6 @@ class ExperimentConfig:
         object.__setattr__(self, "overrides", tuple(str(k) for k in self.overrides))
         self.location()  # LocationConfig checks the capacity and the holding law
 
-    def effective_capacity(self) -> int:
-        return self.node_budget if self.capacity is None else self.capacity
-
     def location(self) -> LocationConfig:
         # Lomax holding: holding_rate plays the scale role, shape fixed heavy-ish
         if self.holding_family == "lomax":
@@ -159,7 +156,7 @@ class ExperimentConfig:
                 raise ParameterError(f"holding law lomax at holding_rate {self.holding_rate!r}: {exc}") from None
         else:
             params = None if self.holding_family == INFINITE_HOLD else ExponentialParams(self.holding_rate)
-        return LocationConfig(self.effective_capacity(), self.holding_family, params)
+        return LocationConfig(self.node_budget if self.capacity is None else self.capacity, self.holding_family, params)
 
 
 @dataclass(frozen=True)
@@ -189,10 +186,6 @@ class SeriesTable:
             frozen[key] = arr
         object.__setattr__(self, "columns", frozen)
 
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(self.columns)
-
 
 def _fmt_list(values) -> str:
     return ",".join(repr(float(v)) for v in values)
@@ -200,7 +193,7 @@ def _fmt_list(values) -> str:
 
 def _run_provenance(command: str, seed: int) -> dict[str, str]:
     """The ``generator``, ``command`` and ``seed`` lines every output starts with."""
-    return {"generator": f"arrivalab {__version__}", "command": command, "seed": str(seed)}
+    return {"generator": GENERATOR, "command": command, "seed": str(seed)}
 
 
 def _base_provenance(cfg: ExperimentConfig, command: str, **cell: str) -> dict[str, str]:
@@ -213,7 +206,7 @@ def _base_provenance(cfg: ExperimentConfig, command: str, **cell: str) -> dict[s
         "horizon": repr(cfg.horizon),
         "node_budget": str(cfg.node_budget),
         "replications": str(cfg.replications),
-        "capacity": str(cfg.effective_capacity()),
+        "capacity": str(cfg.location().capacity),
         "holding_family": cfg.holding_family,
         "holding_rate": repr(cfg.holding_rate),
         "x_max": repr(cfg.x_max),

@@ -40,7 +40,8 @@ HOLDING_FAMILIES = ("exponential", "lomax", INFINITE_HOLD)
 
 @dataclass(frozen=True)
 class LocationConfig:
-    """Capacity bound (None = unbounded) and holding-time law."""
+    """Capacity bound (None = unbounded) and holding-time law; params None
+    means rate 1 for the exponential law, and the Lomax law needs its params."""
 
     capacity: int | None = None
     holding_family: str = "exponential"
@@ -56,10 +57,12 @@ class LocationConfig:
             return
         if fam not in HOLDING_FAMILIES:
             raise ParameterError(f"unknown holding family {fam!r}; expected one of {HOLDING_FAMILIES}")
-        want = FAMILIES[fam][1]
-        params = self.holding_params if self.holding_params is not None else want(1.0)
-        if not isinstance(params, want):
-            raise ParameterError(f"holding family {fam!r} needs {want.__name__}, got {type(params).__name__}")
+        want, params = FAMILIES[fam][1], self.holding_params
+        if params is None and fam == "exponential":
+            params = want(1.0)
+        if not isinstance(params, want):  # no Lomax default: Lomax(1, 1) has an infinite mean
+            got = "no params" if params is None else type(params).__name__
+            raise ParameterError(f"holding family {fam!r} needs {want.__name__}, got {got}")
         _check_largest_draw(fam, params, f"holding law {fam} {params} can draw an infinite hold")
         object.__setattr__(self, "holding_params", params)
 

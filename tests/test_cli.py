@@ -9,7 +9,7 @@ import pytest
 
 import arrivalab.experiments
 from arrivalab import FAMILIES, ParameterError
-from arrivalab.cli import KNOWN_CONFIG_KEYS, build_parser, load_config_file, main
+from arrivalab.cli import _SIMULATE_FIELDS, KNOWN_CONFIG_KEYS, build_parser, load_config_file, main
 
 
 def manifest_lines(outdir):
@@ -771,3 +771,17 @@ class TestReadme:
             for flag in set(flags) - set(TestCommandSurface.COMMON) | {"--seed"}:
                 taken.setdefault(flag, []).append(command)
         assert documented == {flag: sorted(commands) for flag, commands in taken.items()}
+
+    def test_defaults_table_lists_what_simulate_runs_with(self, tmp_path):
+        rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+                for line in readme_section("## Defaults").splitlines() if line.startswith("| ")]
+        defaults = {row[0]: row[1] for row in rows}
+        assert {key: float(defaults[f"simulate {key}"]) for key, _ in _SIMULATE_FIELDS.values()} == dict(
+            _SIMULATE_FIELDS.values())
+        assert main(["simulate", "--out", str(tmp_path)]) == 0
+        prov = provenance(tmp_path / "occupancy.csv")
+        assert prov["params"] == f"rate={defaults['simulate rate']}"
+        assert {key: defaults[f"simulate {key}"] for key in ("family", "capacity", "label")} == {
+            key: prov[key] for key in ("family", "capacity", "label")}
+        assert (defaults["holding law"], float(defaults["holding rate"])) == (
+            prov["holding_family"], float(prov["holding_rate"]))

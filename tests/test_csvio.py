@@ -109,7 +109,7 @@ class FailingColumn:
 
 
 @pytest.mark.parametrize("count", (1, 2, 3))
-def test_worker_that_raises_raises_its_exception(count, tmp_path, monkeypatch):
+def test_failing_chunk_raises_in_the_caller_and_leaves_no_child(count, tmp_path, monkeypatch):
     # whatever the usable CPU count, the rows are formatted in the calling
     # process: the chunk's own exception comes out and no child is left
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: count)

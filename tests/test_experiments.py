@@ -111,8 +111,8 @@ class TestExperimentConfig:
             ExperimentConfig(**{name: True})
 
     def test_capacity_defaults_to_node_budget(self):
-        assert ExperimentConfig().effective_capacity() == 20
-        assert ExperimentConfig(capacity=5).effective_capacity() == 5
+        assert ExperimentConfig().location().capacity == 20
+        assert ExperimentConfig(capacity=5).location().capacity == 5
 
 
 class TestAlphaSweep:
@@ -149,13 +149,13 @@ class TestAlphaSweep:
         tables = run_alpha_sweep(FAST)
         summary = table_by_name(tables, "alpha_occupancy")
         assert list(summary.x) == list(DEFAULT_SHAPE_SWEEP)
-        assert summary.column_names == ("peak_mean", "occupancy_mean", "blocking_mean")
+        assert tuple(summary.columns) == ("peak_mean", "occupancy_mean", "blocking_mean")
 
     def test_beta_columns_follow_config(self):
         cfg = ExperimentConfig(replications=2, horizon=10.0, betas=(0.5, 2.0))
         cell = run_alpha_sweep(cfg)[0]
-        assert "lomax_pdf_b0.5" in cell.column_names
-        assert "lomax_survival_b2" in cell.column_names
+        assert "lomax_pdf_b0.5" in cell.columns
+        assert "lomax_survival_b2" in cell.columns
 
 
 class TestRateSweep:
@@ -191,8 +191,8 @@ class TestRateSweep:
         monkeypatch.setitem(metrics, "admitted_mean", admitted_on_even_replications)
         monkeypatch.setitem(metrics, "never_mean", lambda series, ps: math.nan)
         summary = table_by_name(run_rate_sweep(cfg), "rate_occupancy")
-        assert summary.column_names == ("peak_mean", "occupancy_mean", "blocking_mean", "admitted_mean", "never_mean")
-        for name in before.column_names:
+        assert tuple(summary.columns) == ("peak_mean", "occupancy_mean", "blocking_mean", "admitted_mean", "never_mean")
+        for name in before.columns:
             np.testing.assert_array_equal(summary.columns[name], before.columns[name])
         assert len(admitted) == 8 and 0 not in admitted
         assert list(summary.columns["admitted_mean"]) == [np.mean(admitted[0:4:2]), np.mean(admitted[4:8:2])]
@@ -279,8 +279,8 @@ class TestTailComparison:
     def test_powerlaw_columns_only_for_valid_shapes(self):
         cfg = ExperimentConfig(replications=2, horizon=10.0, alphas=(0.5, 1.5))
         curves = table_by_name(run_tail_comparison(cfg), "tail_comparison")
-        assert "powerlaw_pdf_a1.5_b1" in curves.column_names
-        assert not any(name.startswith("powerlaw_pdf_a0.5") for name in curves.column_names)
+        assert "powerlaw_pdf_a1.5_b1" in curves.columns
+        assert not any(name.startswith("powerlaw_pdf_a0.5") for name in curves.columns)
         col = curves.columns["powerlaw_pdf_a1.5_b1"]
         assert math.isnan(col[0])  # density diverges at the origin
         assert np.all(np.isfinite(col[1:]))
@@ -352,7 +352,7 @@ class TestReproducibility:
             assert ta.name == tb.name
             assert ta.provenance == tb.provenance
             assert np.array_equal(ta.x, tb.x)
-            for name in ta.column_names:
+            for name in ta.columns:
                 assert np.array_equal(ta.columns[name], tb.columns[name], equal_nan=True)
 
     def test_sweep_order_does_not_matter(self):
@@ -361,7 +361,7 @@ class TestReproducibility:
         run_tail_comparison(FAST)
         second = run_rate_sweep(FAST)
         for ta, tb in zip(first, second):
-            for name in ta.column_names:
+            for name in ta.columns:
                 assert np.array_equal(ta.columns[name], tb.columns[name], equal_nan=True)
 
     def test_overrides_echoed_in_provenance(self):

@@ -175,6 +175,11 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             LocationConfig(1, "lomax", ExponentialParams(1.0))
 
+    def test_lomax_holding_law_needs_its_params(self):
+        # no default: Lomax(1, 1) has an infinite mean
+        with pytest.raises(ParameterError, match=r"^holding family 'lomax' needs ParetoTwoParams, got no params$"):
+            LocationConfig(3, "lomax")
+
     def test_default_holding_is_unit_rate_exponential(self):
         loc = LocationConfig(2)
         assert loc.holding_params == ExponentialParams(1.0)

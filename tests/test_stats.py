@@ -132,7 +132,7 @@ class TestKsStatistic:
         assert passes >= 95
 
 
-class TestSampleQuantile:
+class TestLomaxSampleMedian:
     def test_heavy_tail_median(self):
         # analytic median of the two-parameter family: scale * (2^(1/shape) - 1)
         from arrivalab import sample_lomax
