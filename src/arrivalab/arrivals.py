@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import _frozen
 from .errors import DomainError, ParameterError
 from .samplers import FAMILIES, RngStream
 
@@ -31,8 +32,7 @@ class ArrivalTrace:
     horizon: float
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)  # own copy, then frozen
-        times.flags.writeable = False
+        times = _frozen(self.times)
         object.__setattr__(self, "times", times)
         if not (np.isfinite(self.horizon) and self.horizon > 0):
             raise DomainError(f"horizon must be positive and finite, got {self.horizon!r}")
@@ -77,12 +77,13 @@ def generate_trace(family: str, params, horizon: float, r: RngStream) -> Arrival
             break
         offset = float(cs[-1])
     times = _enforce_strict_increase(np.concatenate(chunks), horizon)
+    times.flags.writeable = False  # handed over to the trace, not copied
     return ArrivalTrace(times, float(horizon))
 
 
 def fixed_trace(times, horizon: float | None = None) -> ArrivalTrace:
     """Literal trace from explicit arrival instants (fixtures, replays)."""
-    arr = np.asarray(list(times), dtype=float)
+    arr = _frozen(list(times))
     if horizon is None:
         if arr.size == 0:
             raise DomainError("fixed_trace needs a horizon when no times are given")
@@ -91,14 +92,12 @@ def fixed_trace(times, horizon: float | None = None) -> ArrivalTrace:
 
 
 def _enforce_strict_increase(times: np.ndarray, horizon: float) -> np.ndarray:
-    # a sub-ulp gap can vanish in the cumulative sum; bump the later time by
-    # one ulp (and truncate in the vanishing chance that pushes past the horizon)
+    # a sub-ulp gap can vanish in the cumulative sum; each time becomes
+    # max(times[i], nextafter(out[i-1])), then what that pushes past the horizon
+    # is cut. The bit patterns of nonnegative floats count ulps, so that is a
+    # running maximum of bits[i] - i, shifted back by i.
     if times.size < 2 or not np.any(np.diff(times) <= 0):
         return times
-    out = times.copy()
-    for i in range(1, out.size):
-        if out[i] <= out[i - 1]:
-            out[i] = np.nextafter(out[i - 1], np.inf)
-            if out[i] > horizon:
-                return out[:i]
-    return out
+    i = np.arange(times.size)
+    out = (np.maximum.accumulate(times.view(np.int64) - i) + i).view(np.float64)
+    return out[:np.searchsorted(out, horizon, side="right")]

@@ -1,14 +1,15 @@
 """Deterministic CSV, report and manifest emission.
 
-Every CSV starts with comment-prefixed provenance lines (``# key=value``),
-then a column-name row, then data rows; the validation report is text under
-the same provenance lines. Floats are written with 17 significant digits so
-a rerun with the same seed is byte-identical and round-trips exactly. Every
-file is UTF-8 with ``\n`` line ends, whatever the locale. Bulk rows are
-formatted one 4096-row chunk at a time, straight into the file: by a numpy
+Every file starts with comment-prefixed provenance lines (``# key=value``): a
+CSV then has a column-name row and data rows, the validation report and the
+checksum manifest their text. Every file's bytes come from one encoder, UTF-8
+with ``\n`` line ends whatever the locale. A CSV field's format comes from its
+column's dtype: ``%d`` for an integer dtype, ``%.17g`` for any other, so floats
+round-trip exactly and a rerun with the same seed is byte-identical. Bulk rows
+are formatted one 4096-row chunk at a time, straight into the file: by a numpy
 kernel that computes ``%.17g`` and ``%d`` exactly in integer arithmetic where
 every value of the chunk prints in fixed notation, else by the ``%`` template
-itself (see ``_write_csv``).
+of those formats (see ``_write_csv``).
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ __all__ = [
 # every float field, in rows and in provenance: 17 significant digits round-trip
 _FLOAT = "%.17g"
 _CHUNK_ROWS = 4096
-# argv bytes that are not UTF-8 arrive as surrogates and are written back unchanged
-_TEXT = {"encoding": "utf-8", "errors": "surrogateescape", "newline": "\n"}
 
 
 @functools.cache
@@ -133,44 +132,46 @@ def _field_words(n, x, sep):
     return out
 
 
-def _fits(kind: str, part: np.ndarray) -> bool:
-    if kind == _FLOAT:
-        return part.dtype == np.float64 and part.min() >= 1e-4 and part.max() < 1e17
-    return kind == "%d" and part.dtype.kind in "iu" and part.min() >= 0 and part.max() < 10**16
+def _fits(part: np.ndarray) -> bool:
+    if part.dtype.kind in "iu":
+        return part.min() >= 0 and part.max() < 10**16
+    return part.dtype == np.float64 and part.min() >= 1e-4 and part.max() < 1e17
 
 
-def _kernel_rows(kinds, parts) -> np.ndarray | None:
-    """The chunk's rows as ``%`` writes them, or None unless each %.17g field is
-    float64 in [1e-4, 1e17), where %g prints fixed notation, and each %d in [0, 1e16)."""
-    if not all(map(_fits, kinds, parts)):
+def _kernel_rows(parts) -> np.ndarray | None:
+    """The chunk's rows as ``_write_csv``'s template writes them, or None unless each integer
+    field is in [0, 1e16) and each other one float64 in [1e-4, 1e17), where %g prints fixed notation."""
+    if not all(map(_fits, parts)):
         return None
-    fields = [_float_digits(part) if kind == _FLOAT else _int_digits(part.astype(np.int64))
-              for kind, part in zip(kinds, parts)]
+    fields = [_int_digits(part.astype(np.int64)) if part.dtype.kind in "iu" else _float_digits(part)
+              for part in parts]
     words = [w for i, f in enumerate(fields) for w in _field_words(*f, 10 if i == len(fields) - 1 else 44)]
     text, keep = (np.column_stack(c).astype("<u8", copy=False).view(np.uint8).ravel() for c in zip(*words))
     return text[keep.view(np.bool_)]
 
 
-def _provenance_lines(provenance: dict[str, str]) -> list[str]:
-    return [f"# {key}={value}" for key, value in provenance.items()]
+def _text(provenance: dict[str, str], *lines: str) -> bytes:
+    """The provenance lines, then ``lines``, joined by ``\n``: the bytes every file
+    starts with. Argv bytes that are not UTF-8 arrive as surrogates and go back unchanged."""
+    return "\n".join([*(f"# {k}={v}" for k, v in provenance.items()), *lines]).encode("utf-8", "surrogateescape")
 
 
-def _write_csv(path, provenance: dict[str, str], header: str, row: str, *columns) -> Path:
-    """Provenance lines, ``header``, then one ``row`` %-template per row of the columns.
+def _write_csv(path, provenance: dict[str, str], header: str, *columns) -> Path:
+    """Provenance lines, ``header``, then one row per index of the columns: each
+    field ``%d`` when its column has an integer dtype, else ``%.17g``.
 
     Rows are formatted and written one 4096-row chunk at a time, so no
     full-length row list is ever held. A chunk goes through ``_kernel_rows``
-    when ``row`` is ``%d`` and ``%.17g`` fields between commas and every value
-    is in the kernel's range; else it is one ``row * k % values``, the
-    reference the kernel's bytes equal.
+    when every value is in the kernel's range; else it is one ``row * k % values``
+    of the fields' template, the reference the kernel's bytes equal.
     """
     path, rows, width = Path(path), len(columns[0]), len(columns)
-    kinds = row[:-1].split(",") if row.endswith("\n") else []
+    row = ",".join("%d" if col.dtype.kind in "iu" else _FLOAT for col in columns) + "\n"
     with path.open("wb") as fh:
-        fh.write("\n".join([*_provenance_lines(provenance), header, ""]).encode(_TEXT["encoding"], _TEXT["errors"]))
+        fh.write(_text(provenance, header, ""))
         for lo in range(0, rows, _CHUNK_ROWS):
             parts = [col[lo:lo + _CHUNK_ROWS] for col in columns]
-            text = _kernel_rows(kinds, parts) if len(kinds) == width else None
+            text = _kernel_rows(parts)
             if text is None:
                 flat = [None] * (width * len(parts[0]))
                 for j, part in enumerate(parts):
@@ -182,15 +183,14 @@ def _write_csv(path, provenance: dict[str, str], header: str, row: str, *columns
 
 def write_table_csv(path, table: SeriesTable) -> Path:
     """One SeriesTable as provenance header + x column + named y columns."""
-    cols = [table.x, *table.columns.values()]
     return _write_csv(path, table.provenance, ",".join([table.x_label, *table.columns]),
-                      ",".join([_FLOAT] * len(cols)) + "\n", *cols)
+                      table.x, *table.columns.values())
 
 
 def write_trace_csv(path, trace: ArrivalTrace, provenance: dict[str, str]) -> Path:
     """Arrival trace as ``index,time`` rows under the caller's provenance plus its ``count``."""
     prov = {**provenance, "count": str(len(trace))}
-    return _write_csv(path, prov, "index,time", f"%d,{_FLOAT}\n", np.arange(len(trace)), trace.times)
+    return _write_csv(path, prov, "index,time", np.arange(len(trace)), trace.times)
 
 
 def write_occupancy_csv(path, series: OccupancySeries, provenance: dict[str, str]) -> Path:
@@ -203,13 +203,13 @@ def write_occupancy_csv(path, series: OccupancySeries, provenance: dict[str, str
     prov = dict(provenance, admitted=str(series.admitted), blocked=str(series.blocked),
                 end_time=_FLOAT % series.end_time, peak_count=str(ps.peak_count), peak_time=_FLOAT % ps.peak_time,
                 mean_occupancy=_FLOAT % ps.mean_occupancy, blocking_fraction=_FLOAT % blocking_fraction(series))
-    return _write_csv(path, prov, "time,count", f"{_FLOAT},%d\n", series.breakpoints, series.counts)
+    return _write_csv(path, prov, "time,count", series.breakpoints, series.counts)
 
 
 def write_report(path, text: str, provenance: dict[str, str]) -> Path:
     """Plain ``text`` (the validation report) under the caller's provenance lines."""
     path = Path(path)
-    path.write_text("\n".join([*_provenance_lines(provenance), text]), **_TEXT)
+    path.write_bytes(_text(provenance, text))
     return path
 
 
@@ -217,8 +217,8 @@ def sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_manifest(outdir, filenames, provenance: dict[str, str] | None = None) -> Path:
+def write_manifest(outdir, filenames, provenance: dict[str, str]) -> Path:
     """Checksum manifest ``manifest.txt``: a report of one line per output, sorted by filename."""
     outdir = Path(outdir)
     sums = "".join(f"{sha256_file(outdir / fn)}  {fn}\n" for fn in sorted(filenames))
-    return write_report(outdir / "manifest.txt", sums, provenance or {})
+    return write_report(outdir / "manifest.txt", sums, provenance)

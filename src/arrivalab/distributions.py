@@ -68,6 +68,16 @@ def _integer(name: str, value, low: int, high: float = math.inf) -> int:
     return int(value)
 
 
+def _frozen(values, dtype=float) -> np.ndarray:
+    """``values`` itself when it is a read-only ``dtype`` array that owns its data, else a read-only
+    copy, so a caller's writeable array or view stays theirs: how every value object holds an array."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and values.base is None and not values.flags.writeable:
+        return values
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class ExponentialParams:
     """Rate ``r`` of a Poisson process (events per unit time): its gaps are

@@ -26,6 +26,7 @@ from .distributions import (
     ParetoOneParams,
     ParetoTwoParams,
     PoissonParams,
+    _frozen,
     _integer,
     _positive_finite,
     exp_cdf,
@@ -170,20 +171,16 @@ class SeriesTable:
     provenance: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=float)
-        x.flags.writeable = False
+        x = _frozen(self.x)
         object.__setattr__(self, "x", x)
         if x.size == 0:
             raise DomainError("series table needs at least one row")
         if np.any(np.diff(x) <= 0):
             raise DomainError("x values must be strictly increasing")
-        frozen = {}
-        for key, col in self.columns.items():
-            arr = np.array(col, dtype=float)
+        frozen = {key: _frozen(col) for key, col in self.columns.items()}
+        for key, arr in frozen.items():
             if arr.shape != x.shape:
                 raise DomainError(f"column {key!r} length {arr.size} != x length {x.size}")
-            arr.flags.writeable = False
-            frozen[key] = arr
         object.__setattr__(self, "columns", frozen)
 
 

@@ -17,7 +17,7 @@ from heapq import heappush, heapreplace
 import numpy as np
 
 from .arrivals import ArrivalTrace
-from .distributions import _integer
+from .distributions import _frozen, _integer
 from .errors import DomainError, ParameterError
 from .samplers import FAMILIES, RngStream, _check_largest_draw
 
@@ -83,10 +83,7 @@ class OccupancySeries:
     end_time: float
 
     def __post_init__(self):
-        bp = np.array(self.breakpoints, dtype=float)
-        ct = np.array(self.counts, dtype=np.int64)
-        bp.flags.writeable = False
-        ct.flags.writeable = False
+        bp, ct = _frozen(self.breakpoints), _frozen(self.counts, np.int64)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "counts", ct)
         if bp.shape != ct.shape:
@@ -140,6 +137,7 @@ def simulate_occupancy(trace: ArrivalTrace, loc: LocationConfig, r: RngStream) -
         admitted = times.size
         breakpoints, counts = _merged_steps(times, holds)
     end = max(trace.horizon, float(breakpoints[-1])) if len(breakpoints) else trace.horizon
+    breakpoints.flags.writeable = counts.flags.writeable = False  # handed over to the series, not copied
     return OccupancySeries(breakpoints, counts, admitted, len(trace) - admitted, float(end))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import PoissonParams, normal_approx_pmf, poisson_pmf
+from .distributions import PoissonParams, _frozen, normal_approx_pmf, poisson_pmf
 from .errors import DomainError
 
 __all__ = [
@@ -44,14 +44,8 @@ class EmpiricalSample:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = self.values
-        # a read-only float array that owns its data is kept as it is (from_values
-        # makes one); anything else is copied, so the caller's array stays theirs
-        if not (isinstance(vals, np.ndarray) and vals.dtype == np.float64
-                and vals.base is None and not vals.flags.writeable):
-            vals = np.array(vals, dtype=float)
-            vals.flags.writeable = False
-            object.__setattr__(self, "values", vals)
+        vals = _frozen(self.values)  # from_values hands over an array it keeps
+        object.__setattr__(self, "values", vals)
         # sorted (NaN fails >=), nonnegative from the first value, finite up to the last
         if vals.ndim == 1 and vals.size and vals[0] >= 0 and vals[-1] < np.inf and (vals[1:] >= vals[:-1]).all():
             return

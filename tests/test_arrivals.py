@@ -24,6 +24,21 @@ from arrivalab.csvio import write_trace_csv
 CHI2_CRIT_3DOF_1PCT = 11.345
 
 
+def strict_increase_by_loop(times: np.ndarray, horizon: float) -> np.ndarray:
+    """The repair one arrival at a time, the reference for ``_enforce_strict_increase``:
+    a time at or below the one before moves one ulp past it, and the first that
+    moves past the horizon ends the trace."""
+    if times.size < 2 or not np.any(np.diff(times) <= 0):
+        return times
+    out = times.copy()
+    for i in range(1, out.size):
+        if out[i] <= out[i - 1]:
+            out[i] = np.nextafter(out[i - 1], np.inf)
+            if out[i] > horizon:
+                return out[:i]
+    return out
+
+
 def exp_trace(seed, rate=0.9, horizon=1000.0, stream_id=0):
     return generate_trace("exponential", ExponentialParams(rate), horizon, RngStream(seed, stream_id))
 
@@ -150,6 +165,29 @@ class TestSubUlpGaps:
         # one ulp past the horizon lies outside the trace
         out = _enforce_strict_increase(np.array([0.5, 1.0, 1.0]), 1.0)
         assert out.tolist() == [0.5, 1.0]
+
+    def test_a_run_of_ties_climbs_one_ulp_a_step_into_the_times_after_it(self):
+        up = [1.0]
+        for _ in range(4):
+            up.append(np.nextafter(up[-1], np.inf))
+        out = _enforce_strict_increase(np.array([1.0, 1.0, 1.0, up[1], up[4]]), 2.0)
+        assert out.tolist() == up
+
+    def test_a_run_of_ties_is_cut_where_it_passes_the_horizon(self):
+        out = _enforce_strict_increase(np.array([0.5, 1.0, 1.0, 1.0, 1.0]), float(np.nextafter(1.0, np.inf)))
+        assert out.tolist() == [0.5, 1.0, np.nextafter(1.0, np.inf)]
+
+    def test_the_scan_equals_the_loop_on_random_tie_patterns(self):
+        rng = np.random.default_rng(34)
+        for _ in range(2000):
+            n = int(rng.integers(2, 40))
+            # steps of 0 ulps (a tie), 1 or 2 (which a climbing run of ties reaches) or many
+            steps = rng.choice([0, 0, 0, 1, 2, 10**6], size=n - 1)
+            start = np.array(rng.choice([5e-324, 1e-300, 1.0, 1e6])).view(np.int64)
+            times = (start + np.concatenate([[0], np.cumsum(steps)])).view(np.float64)
+            # at the last time or a few ulps past it, so a late tie may climb past the horizon
+            horizon = float((times[-1:].view(np.int64) + rng.integers(0, 4)).view(np.float64)[0])
+            assert _enforce_strict_increase(times, horizon).tobytes() == strict_increase_by_loop(times, horizon).tobytes()
 
 
 class TestCountInWindow:

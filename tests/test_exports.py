@@ -293,3 +293,45 @@ def test_process_management_outside_finds_a_stray_use():
 def test_process_management_lives_only_in_the_fork_map():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted((ROOT / "src" / "arrivalab").glob("*.py"))}
     assert process_management_outside(sources) == []
+
+
+def freezes_outside_frozen(sources: dict[str, str]) -> list[str]:
+    """Calls of ``np.array`` or ``np.asarray``, and assignments to ``.flags.writeable``,
+    inside any ``__post_init__`` in ``sources``: a value object holds an array
+    through ``distributions._frozen`` and no copy or freeze of its own."""
+    found = []
+    for module, source in sources.items():
+        for method in ast.walk(ast.parse(source)):
+            if not (isinstance(method, ast.FunctionDef) and method.name == "__post_init__"):
+                continue
+            for node in ast.walk(method):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    use = (isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "np"
+                           and func.attr in ("array", "asarray"))
+                elif isinstance(node, ast.Assign):
+                    use = any(isinstance(t, ast.Attribute) and t.attr == "writeable"
+                              and isinstance(t.value, ast.Attribute) and t.value.attr == "flags" for t in node.targets)
+                else:
+                    use = False
+                if use:
+                    found.append((module, node.lineno))
+    return [f"{module} line {line}" for module, line in sorted(found)]
+
+
+def test_freezes_outside_frozen_finds_a_copy_block():
+    sources = {
+        "occupancy.py": "import numpy as np\nclass S:\n    def __post_init__(self):\n"
+                        "        bp = np.array(self.bp, dtype=float)\n        bp.flags.writeable = False\n"
+                        "        ct = _frozen(np.asarray(self.ct))\n        a.flags.writeable = b.flags.writeable = False\n"
+                        "    def other(self):\n        x = np.array([])\n        x.flags.writeable = False\n",
+        "stats.py": "class E:\n    def __post_init__(self):\n        vals = _frozen(self.values)\n",
+    }
+    assert freezes_outside_frozen(sources) == [
+        "occupancy.py line 4", "occupancy.py line 5", "occupancy.py line 6", "occupancy.py line 7",
+    ]
+
+
+def test_value_objects_freeze_only_through_frozen():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted((ROOT / "src" / "arrivalab").glob("*.py"))}
+    assert freezes_outside_frozen(sources) == []
