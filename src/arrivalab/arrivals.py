@@ -39,7 +39,7 @@ class ArrivalTrace:
         if times.size:  # each check is written so that a NaN time fails it
             if not (times[0] > 0 and times[-1] <= self.horizon):
                 raise DomainError("arrival times must lie in (0, horizon]")
-            if not np.all(np.diff(times) > 0):
+            if not np.all(times[1:] > times[:-1]):
                 raise DomainError("arrival times must be strictly increasing")
 
     def __len__(self) -> int:
@@ -95,8 +95,9 @@ def _enforce_strict_increase(times: np.ndarray, horizon: float) -> np.ndarray:
     # a sub-ulp gap can vanish in the cumulative sum; each time becomes
     # max(times[i], nextafter(out[i-1])), then what that pushes past the horizon
     # is cut. The bit patterns of nonnegative floats count ulps, so that is a
-    # running maximum of bits[i] - i, shifted back by i.
-    if times.size < 2 or not np.any(np.diff(times) <= 0):
+    # running maximum of bits[i] - i, shifted back by i. A pair needs it iff
+    # later - earlier <= 0, which a tie of infinities (NaN) does not.
+    if not np.any((times[1:] <= times[:-1]) & (times[1:] != np.inf) & (times[:-1] != -np.inf)):
         return times
     i = np.arange(times.size)
     out = (np.maximum.accumulate(times.view(np.int64) - i) + i).view(np.float64)

@@ -161,7 +161,8 @@ def _write_csv(path, provenance: dict[str, str], header: str, *columns) -> Path:
     field ``%d`` when its column has an integer dtype, else ``%.17g``.
 
     Rows are formatted and written one 4096-row chunk at a time, so no
-    full-length row list is ever held. A chunk goes through ``_kernel_rows``
+    full-length row list is ever held, and a ``_RowNumbers`` column makes
+    each chunk's numbers as it is sliced. A chunk goes through ``_kernel_rows``
     when every value is in the kernel's range; else it is one ``row * k % values``
     of the fields' template, the reference the kernel's bytes equal.
     """
@@ -187,10 +188,25 @@ def write_table_csv(path, table: SeriesTable) -> Path:
                       table.x, *table.columns.values())
 
 
+class _RowNumbers:
+    """The column 0, 1, ..., n - 1, made one slice at a time as ``_write_csv`` takes its chunks."""
+
+    dtype = np.dtype(np.intp)
+
+    def __init__(self, n: int):
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return np.arange(*rows.indices(self._n))
+
+
 def write_trace_csv(path, trace: ArrivalTrace, provenance: dict[str, str]) -> Path:
     """Arrival trace as ``index,time`` rows under the caller's provenance plus its ``count``."""
     prov = {**provenance, "count": str(len(trace))}
-    return _write_csv(path, prov, "index,time", np.arange(len(trace)), trace.times)
+    return _write_csv(path, prov, "index,time", _RowNumbers(len(trace)), trace.times)
 
 
 def write_occupancy_csv(path, series: OccupancySeries, provenance: dict[str, str]) -> Path:
@@ -214,7 +230,12 @@ def write_report(path, text: str, provenance: dict[str, str]) -> Path:
 
 
 def sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """Hex SHA-256 of a file's bytes, read in 64 KiB blocks, so no output is ever held whole."""
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as fh:
+        for block in iter(functools.partial(fh.read, 1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def write_manifest(outdir, filenames, provenance: dict[str, str]) -> Path:

@@ -175,7 +175,7 @@ class SeriesTable:
         object.__setattr__(self, "x", x)
         if x.size == 0:
             raise DomainError("series table needs at least one row")
-        if np.any(np.diff(x) <= 0):
+        if not np.all(x[1:] > x[:-1]):  # a NaN x fails it
             raise DomainError("x values must be strictly increasing")
         frozen = {key: _frozen(col) for key, col in self.columns.items()}
         for key, arr in frozen.items():

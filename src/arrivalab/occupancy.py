@@ -88,7 +88,7 @@ class OccupancySeries:
         object.__setattr__(self, "counts", ct)
         if bp.shape != ct.shape:
             raise DomainError("breakpoints and counts must have equal length")
-        if bp.size and np.any(np.diff(bp) < 0):
+        if np.any(bp[1:] < bp[:-1]):
             raise DomainError("breakpoints must be nondecreasing")
         if np.any(ct < 0):
             raise DomainError("counts must be nonnegative")
@@ -122,7 +122,9 @@ def simulate_occupancy(trace: ArrivalTrace, loc: LocationConfig, r: RngStream) -
     stream is private, so no output depends on them, and a block of Philox
     draws equals the scalar draws it replaces bit for bit. Infinite holding
     draws none. A departure time that overflows to inf raises ``DomainError``
-    (the series rejects an infinite ``end_time``).
+    (the series rejects an infinite ``end_time``). The hold block is made
+    here and read by nothing else, so ``_merged_steps`` turns it into the
+    departures in place.
     """
     times = trace.times
     if loc.holding_family == INFINITE_HOLD:  # nothing departs: the first arrivals fill the location
@@ -163,21 +165,28 @@ def _admissions(times: list[float], holds: list[float], cap: int) -> list[int]:
 
 
 def _merged_steps(times: np.ndarray, holds: np.ndarray):
-    """The step series of admitted arrivals and their holds, as one merged sort.
+    """The step series of admitted arrivals and their holds, built in ``holds``.
 
     Events sort on (time, kind): departures, then arrivals, then departures at
     their own arrival instant (a hold below half an ulp of it). Arrival times
     strictly increase, so this is the order in which an event loop popping
-    departures before each arrival would record them.
+    departures before each arrival would record them. ``holds`` becomes the
+    sorted departures, in place; arrival i goes to slot i plus the departures
+    at or before it, less its own, and the departures fill the other slots.
+    Tied departures are equal values, so their order among themselves is moot.
     """
     with np.errstate(over="ignore"):  # an infinite departure is rejected by OccupancySeries
-        departures = times + holds
+        departures = np.add(times, holds, out=holds)
     own = departures == times
-    merged = np.concatenate([departures[~own], times, departures[own]])
-    n, k = times.size, int(own.sum())
-    steps = np.repeat(np.array([-1, 1, -1], dtype=np.int64), [n - k, n, k])
-    order = np.argsort(merged, kind="stable")
-    return merged[order], np.cumsum(steps[order])
+    departures.sort()
+    slots = np.searchsorted(departures, times, side="right") - own + np.arange(times.size)
+    counts = np.full(2 * times.size, -1, dtype=np.int64)
+    counts[slots] = 1
+    del own, slots
+    breakpoints, arriving = np.empty(counts.size), counts > 0
+    breakpoints[arriving] = times
+    breakpoints[np.logical_not(arriving, out=arriving)] = departures
+    return breakpoints, np.cumsum(counts, out=counts)
 
 
 def peak_stats(s: OccupancySeries) -> PeakStats:
@@ -189,12 +198,16 @@ def peak_stats(s: OccupancySeries) -> PeakStats:
     peak = int(s.counts[peak_idx])
     peak_time = float(s.breakpoints[peak_idx]) if peak > 0 else 0.0
     # integrate the step function: level counts[i] holds on [bp[i], bp[i+1]),
-    # zero before the first event, last level runs out to end_time
-    edges = np.concatenate([s.breakpoints, [s.end_time]])
+    # zero before the first event, last level runs out to end_time. The widths
+    # take the products in place, summed pairwise as a fresh array would be.
+    bp, widths = s.breakpoints, np.empty(s.counts.size)
+    np.subtract(bp[1:], bp[:-1], out=widths[:-1])
+    widths[-1] = s.end_time - bp[-1]
     with np.errstate(over="ignore"):  # spans near the float maximum: weight the levels instead
-        area = float(np.sum(s.counts * np.diff(edges)))
-    mean = area / s.end_time if area < math.inf else float(np.sum(s.counts * (np.diff(edges) / s.end_time)))
-    return PeakStats(peak, peak_time, mean)
+        area = float(np.sum(np.multiply(s.counts, widths, out=widths)))
+    if area < math.inf:
+        return PeakStats(peak, peak_time, area / s.end_time)
+    return PeakStats(peak, peak_time, float(np.sum(s.counts * (np.diff(bp, append=s.end_time) / s.end_time))))
 
 
 def blocking_fraction(s: OccupancySeries) -> float:

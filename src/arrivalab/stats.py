@@ -53,7 +53,7 @@ class EmpiricalSample:
             raise DomainError("empirical sample must hold at least one value")
         if np.any(vals < 0) or np.any(~np.isfinite(vals)):
             raise DomainError("empirical sample values must be finite and nonnegative")
-        if np.any(np.diff(vals) < 0):
+        if np.any(vals[1:] < vals[:-1]):
             raise DomainError("empirical sample must be sorted ascending")
 
     @classmethod

@@ -15,6 +15,7 @@ floats, exact ties at the 18th digit, a million random bit patterns, and a
 chunk with one value outside the range between two that are inside.
 """
 
+import hashlib
 import os
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from arrivalab import csvio
 from arrivalab.arrivals import ArrivalTrace
-from arrivalab.csvio import _write_csv, write_occupancy_csv, write_table_csv, write_trace_csv
+from arrivalab.csvio import _RowNumbers, _write_csv, sha256_file, write_occupancy_csv, write_table_csv, write_trace_csv
 from arrivalab.experiments import SeriesTable
 from arrivalab.occupancy import OccupancySeries
 
@@ -71,6 +72,22 @@ def test_trace_rows_match_per_value_format(n, tmp_path):
     trace = ArrivalTrace(times, horizon)
     expected = "".join(f"{i},{old_float(t)}\n" for i, t in enumerate(times))
     assert written_rows(lambda: write_trace_csv(tmp_path / "trace.csv", trace, {}), "index,time") == expected
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_row_numbers_are_the_index_column_chunk_by_chunk(n):
+    index = np.arange(n)
+    assert len(_RowNumbers(n)) == n and _RowNumbers(n).dtype == index.dtype
+    for lo in range(0, n + 1, 4096):
+        chunk = _RowNumbers(n)[lo:lo + 4096]
+        assert chunk.dtype == index.dtype and chunk.tolist() == index[lo:lo + 4096].tolist()
+
+
+@pytest.mark.parametrize("size", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+def test_sha256_file_is_the_digest_of_the_whole_file(size, tmp_path):
+    data = np.random.default_rng(size).bytes(size)
+    (tmp_path / "f").write_bytes(data)
+    assert sha256_file(tmp_path / "f") == hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("n", ROW_COUNTS)

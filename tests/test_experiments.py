@@ -47,6 +47,12 @@ class TestSeriesTable:
         with pytest.raises(DomainError):
             SeriesTable("t", "x", np.array([0.0, 0.0]), {}, {})
 
+    @pytest.mark.parametrize("x", [[math.inf, math.inf], [1.0, math.inf, math.inf], [math.nan, 1.0], [1.0, math.nan]])
+    def test_rejects_nan_and_tied_infinities(self, x):
+        # np.diff(x) <= 0 let these through: inf - inf and any NaN difference compare false
+        with pytest.raises(DomainError, match="^x values must be strictly increasing$"):
+            SeriesTable("t", "x", np.array(x))
+
     def test_rejects_zero_rows(self):
         with pytest.raises(DomainError, match="at least one row"):
             SeriesTable("t", "x", np.array([]), {"y": np.array([])}, {})

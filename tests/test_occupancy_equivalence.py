@@ -4,8 +4,8 @@
 event loop, kept here verbatim as the oracle. The engine draws one block of
 ``len(trace)`` holding times, decides admissions with a heap of at most
 ``capacity`` departure times, and builds the series of the admitted arrivals
-with one numpy sort; both must give the same breakpoints, counts, totals and
-end time.
+with one sort of their departures; both must give the same breakpoints,
+counts, totals and end time, ties included.
 """
 
 import heapq
@@ -27,6 +27,7 @@ from arrivalab import (
     simulate_occupancy,
 )
 from arrivalab.arrivals import ArrivalTrace
+from arrivalab.errors import DomainError
 from arrivalab.occupancy import OccupancySeries
 from arrivalab.samplers import FAMILIES as _HOLD_SAMPLERS
 from test_properties import arrival_laws, capacities, holding_laws, horizons, seeds, trace_for
@@ -200,3 +201,60 @@ def test_reads_at_most_one_uniform_per_arrival(capacity, holding):
     loc = LocationConfig(capacity, holding, HOLDINGS[holding])
     got = simulate_occupancy(trace, loc, ScriptedStream(uniforms))
     assert_same_series(got, seed_simulate_occupancy(trace, loc, ScriptedStream(uniforms)))
+
+
+# Lomax(1, 1) holds are 1/u - 1: a uniform 2**-m holds exactly 2**m - 1 and 1.0
+# holds 0, while the largest float below 1 holds an ulp or less, so on the grid
+# of half units below departures land on later arrivals, on each other and on
+# their own arrival instants
+TIE_LAW = ParetoTwoParams(1.0, 1.0)
+TIE_UNIFORMS = (1.0, np.nextafter(1.0, 0.0), 0.5, 0.25, 0.125, 2.0**-4, 2.0**-5)
+
+
+def tie_pattern(n, seed):
+    """A trace at 0.5, 1.0, ..., n / 2 and one uniform per arrival from ``TIE_UNIFORMS``."""
+    trace = fixed_trace((0.5 * np.arange(1, n + 1)).tolist(), horizon=max(n, 1) / 2)
+    return trace, np.random.default_rng(seed).choice(TIE_UNIFORMS, size=n).tolist()
+
+
+def assert_matches_seed_loop(trace, loc, uniforms):
+    got = simulate_occupancy(trace, loc, ScriptedStream(uniforms))
+    assert_same_series(got, seed_simulate_occupancy(trace, loc, ScriptedStream(uniforms)))
+    return got
+
+
+@pytest.mark.parametrize("capacity", [3, 20, None])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tied_events_match_seed_loop_across_chunks(capacity, seed):
+    trace, uniforms = tie_pattern(5000, seed)
+    times = trace.times
+    departures = times + _HOLD_SAMPLERS["lomax"][2](np.array(uniforms), TIE_LAW)
+    later = departures[departures > times]
+    # the three kinds of tie the merge orders: a departure at a later arrival
+    # instant, departures sharing one instant, and departures at their own arrival
+    assert np.isin(later, times).sum() > 500
+    assert np.unique(later).size < later.size - 500
+    assert (departures == times).sum() > 500
+    got = assert_matches_seed_loop(trace, LocationConfig(capacity, "lomax", TIE_LAW), uniforms)
+    assert got.breakpoints.size == 2 * got.admitted and got.admitted > 500
+
+
+@pytest.mark.parametrize("capacity", [2, None])
+def test_random_tie_patterns_match_seed_loop(capacity):
+    loc = LocationConfig(capacity, "lomax", TIE_LAW)
+    for seed in range(3000):
+        trace, uniforms = tie_pattern(seed % 31, seed)
+        assert_matches_seed_loop(trace, loc, uniforms)
+
+
+@pytest.mark.parametrize("capacity", [1, None])
+def test_departure_overflowing_to_inf_raises_after_ties(capacity):
+    # 4,999 zero holds (each departs at its own arrival instant), then a hold of
+    # 7.4e307 from the smallest uniform that takes the last departure past the
+    # float maximum
+    times = [*(0.5 * np.arange(1, 5000)).tolist(), 1.5e308]
+    trace, uniforms = fixed_trace(times), [1.0] * 4999 + [2.0**-54]
+    loc = LocationConfig(capacity, "lomax", ParetoTwoParams(0.0528, 1.0))
+    for simulate in (simulate_occupancy, seed_simulate_occupancy):
+        with pytest.raises(DomainError, match="overflowed to inf"), np.errstate(over="ignore"):
+            simulate(trace, loc, ScriptedStream(uniforms))
