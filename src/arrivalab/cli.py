@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import sys
 import unicodedata
 from pathlib import Path
@@ -31,7 +32,7 @@ from .experiments import (
 from .occupancy import HOLDING_FAMILIES, blocking_fraction, simulate_occupancy
 from .samplers import FAMILIES, RngStream
 
-__all__ = ["main", "load_config_file", "KNOWN_CONFIG_KEYS"]
+__all__ = ["main", "entry_point", "load_config_file", "KNOWN_CONFIG_KEYS"]
 
 DEFAULT_OUT = "out"
 # config text is UTF-8 whatever the locale, a leading byte-order mark dropped;
@@ -295,5 +296,16 @@ def main(argv=None) -> int:
         return 2
 
 
-if __name__ == "__main__":
+def entry_point():
+    """``main`` as the whole process: ``python -m arrivalab.cli`` and the ``arrivalab`` script.
+
+    It freezes the import-time heap first, so no collection walks it again, at
+    exit or in ``validate``'s forked workers. ``main`` leaves the collector
+    alone for the tests and the benchmark tracer, which call it in process.
+    """
+    gc.freeze()
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

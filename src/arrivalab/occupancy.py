@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass
-from heapq import heappush, heapreplace
+from heapq import heapify, heapreplace
 
 import numpy as np
 
@@ -124,7 +125,8 @@ def simulate_occupancy(trace: ArrivalTrace, loc: LocationConfig, r: RngStream) -
     draws none. A departure time that overflows to inf raises ``DomainError``
     (the series rejects an infinite ``end_time``). The hold block is made
     here and read by nothing else, so ``_merged_steps`` turns it into the
-    departures in place.
+    departures in place. The arrival times are copied only when some are
+    blocked; otherwise the trace's own array goes to ``_merged_steps``.
     """
     times = trace.times
     if loc.holding_family == INFINITE_HOLD:  # nothing departs: the first arrivals fill the location
@@ -134,8 +136,10 @@ def simulate_occupancy(trace: ArrivalTrace, loc: LocationConfig, r: RngStream) -
         hold_sampler = FAMILIES[loc.holding_family][0]
         holds = hold_sampler(r, loc.holding_params, size=len(trace))
         if loc.capacity is not None:
-            admits = _admissions(times.tolist(), holds.tolist(), loc.capacity)
-            times, holds = times[admits], holds[:len(admits)]
+            blocked = _admissions(times, holds, loc.capacity)
+            if blocked:
+                times = np.delete(times, blocked)
+            holds = holds[:times.size]
         admitted = times.size
         breakpoints, counts = _merged_steps(times, holds)
     end = max(trace.horizon, float(breakpoints[-1])) if len(breakpoints) else trace.horizon
@@ -143,25 +147,28 @@ def simulate_occupancy(trace: ArrivalTrace, loc: LocationConfig, r: RngStream) -
     return OccupancySeries(breakpoints, counts, admitted, len(trace) - admitted, float(end))
 
 
-def _admissions(times: list[float], holds: list[float], cap: int) -> list[int]:
-    """Indices of the arrivals that ``cap`` places admit; admission j holds for ``holds[j]``.
+def _admissions(times: np.ndarray, holds: np.ndarray, cap: int) -> array:
+    """Indices of the arrivals that ``cap`` places block; admission j holds for ``holds[j]``.
 
-    The heap keeps at most ``cap`` departure times. Only ``heapreplace``
-    removes one, and only a minimum at or before the arrival, so every node
-    still present is in the heap: a full heap whose minimum is after ``at``
-    has no free place. A departure at ``at`` frees its place for the arrival.
+    The first ``cap`` arrivals fill the heap of at most ``cap`` departure
+    times. Only ``heapreplace`` removes one, and only a minimum at or before
+    the arrival, so every node still present is in the heap: a full heap
+    whose minimum is after ``at`` has no free place. A departure at ``at``
+    frees its place for the arrival.
     """
-    heap: list[float] = []
-    admits: list[int] = []
-    for i, at in enumerate(times):
-        if len(heap) < cap:
-            heappush(heap, at + holds[len(admits)])
-        elif heap[0] <= at:
-            heapreplace(heap, at + holds[len(admits)])
+    arrivals, hold_view = memoryview(times), memoryview(holds)
+    heap = [at + hold for at, hold in zip(arrivals[:cap], hold_view[:cap])]
+    heapify(heap)
+    blocked = array("q")
+    next_hold = iter(hold_view[cap:]).__next__
+    earliest = heap[0] if heap else math.inf
+    for i, at in enumerate(arrivals[cap:], cap):
+        if earliest <= at:
+            heapreplace(heap, at + next_hold())
+            earliest = heap[0]
         else:
-            continue
-        admits.append(i)
-    return admits
+            blocked.append(i)
+    return blocked
 
 
 def _merged_steps(times: np.ndarray, holds: np.ndarray):
@@ -174,6 +181,7 @@ def _merged_steps(times: np.ndarray, holds: np.ndarray):
     sorted departures, in place; arrival i goes to slot i plus the departures
     at or before it, less its own, and the departures fill the other slots.
     Tied departures are equal values, so their order among themselves is moot.
+    ``times`` is only read: with nothing blocked it is the trace's own array.
     """
     with np.errstate(over="ignore"):  # an infinite departure is rejected by OccupancySeries
         departures = np.add(times, holds, out=holds)

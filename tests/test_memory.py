@@ -1,4 +1,4 @@
-"""Memory budgets of the M/G/inf output path, measured with tracemalloc.
+"""Memory budgets of the occupancy output path, measured with tracemalloc.
 
 numpy reports its array buffers to tracemalloc, so the traced peak of a call
 above what was traced when it started counts every scratch array it makes.
@@ -11,12 +11,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from arrivalab import LocationConfig, ParetoTwoParams, RngStream, generate_trace, peak_stats, simulate_occupancy
+from arrivalab import (
+    ExponentialParams,
+    LocationConfig,
+    ParetoTwoParams,
+    RngStream,
+    generate_trace,
+    peak_stats,
+    simulate_occupancy,
+)
 from arrivalab.csvio import sha256_file
 
 # simulate_occupancy reads 42 B per arrival above its trace: the departures
 # (the hold block, sorted in place), the two 16 B steps of the series and a
-# mask of 2 B; an argsort of the merged events took 113 B
+# mask of 2 B; an argsort of the merged events took 113 B. A capacity bound
+# adds the kept arrivals when some are blocked; Python float lists of the
+# trace and the holds took 73 to 140 B
 SIMULATE_BYTES_PER_ARRIVAL = 64
 # numpy's ufunc buffers, a few of its 8192-element blocks
 SCRATCH_BYTES = 256 * 1024
@@ -51,6 +61,24 @@ def test_simulate_occupancy_stays_within_its_budget(series_and_trace):
     series, peak = traced_peak(simulate_occupancy, trace, loc, RngStream(4, 1))
     assert series.admitted == len(trace) > 90_000 and series.counts.tobytes() == want.counts.tobytes()
     assert peak < SIMULATE_BYTES_PER_ARRIVAL * len(trace)
+
+
+@pytest.fixture(scope="module")
+def loss_trace():
+    """Poisson arrivals at rate 50 over 2000 time units: 99,808 arrivals at seed 4."""
+    return generate_trace("exponential", ExponentialParams(50.0), 2000.0, RngStream(4, 0))
+
+
+# capacity 20 blocks nearly every arrival, 1000 about 2%, and 10**6 none
+@pytest.mark.parametrize("capacity", [20, 1000, 10**6])
+def test_bounded_simulate_occupancy_stays_within_its_budget(loss_trace, capacity):
+    loc = LocationConfig(capacity, "exponential", ExponentialParams(0.05))
+    want = simulate_occupancy(loss_trace, loc, RngStream(4, 1))
+    series, peak = traced_peak(simulate_occupancy, loss_trace, loc, RngStream(4, 1))
+    assert len(loss_trace) == 99_808 and series.admitted == want.admitted
+    assert series.breakpoints.tobytes() == want.breakpoints.tobytes()
+    assert series.counts.tobytes() == want.counts.tobytes()
+    assert peak < SIMULATE_BYTES_PER_ARRIVAL * len(loss_trace)
 
 
 def test_peak_stats_allocates_at_most_one_float_per_event(series_and_trace):

@@ -5,11 +5,14 @@ event loop, kept here verbatim as the oracle. The engine draws one block of
 ``len(trace)`` holding times, decides admissions with a heap of at most
 ``capacity`` departure times, and builds the series of the admitted arrivals
 with one sort of their departures; both must give the same breakpoints,
-counts, totals and end time, ties included.
+counts, totals and end time, ties included. ``admissions_by_list`` is the
+admission loop over Python lists that the blocked-only loop replaced, kept
+as that loop's oracle.
 """
 
 import heapq
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from arrivalab import (
 )
 from arrivalab.arrivals import ArrivalTrace
 from arrivalab.errors import DomainError
-from arrivalab.occupancy import OccupancySeries
+from arrivalab.occupancy import OccupancySeries, _admissions
 from arrivalab.samplers import FAMILIES as _HOLD_SAMPLERS
 from test_properties import arrival_laws, capacities, holding_laws, horizons, seeds, trace_for
 
@@ -258,3 +261,63 @@ def test_departure_overflowing_to_inf_raises_after_ties(capacity):
     for simulate in (simulate_occupancy, seed_simulate_occupancy):
         with pytest.raises(DomainError, match="overflowed to inf"), np.errstate(over="ignore"):
             simulate(trace, loc, ScriptedStream(uniforms))
+
+
+def admissions_by_list(times: list[float], holds: list[float], cap: int) -> list[int]:
+    """Indices of the arrivals that ``cap`` places admit; admission j holds for ``holds[j]``."""
+    heap: list[float] = []
+    admits: list[int] = []
+    for i, at in enumerate(times):
+        if len(heap) < cap:
+            heapq.heappush(heap, at + holds[len(admits)])
+        elif heap[0] <= at:
+            heapq.heapreplace(heap, at + holds[len(admits)])
+        else:
+            continue
+        admits.append(i)
+    return admits
+
+
+def assert_same_admissions(times, holds, cap):
+    """The blocked-only loop keeps the arrivals that the list loop admits, and so
+    as many holds: admission j holds for ``holds[j]`` in both."""
+    blocked = _admissions(times, holds, cap)
+    admits = admissions_by_list(times.tolist(), holds.tolist(), cap)
+    assert np.delete(times, blocked).tobytes() == times[admits].tobytes()
+    return blocked
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("family", ["exponential", "lomax"])
+@pytest.mark.parametrize("holding", ["exponential", "lomax"])
+def test_blocked_only_loop_matches_list_loop(holding, family, seed):
+    times = generate_trace(family, ARRIVALS[family], 200.0, RngStream(seed, 0)).times
+    n = times.size
+    holds = _HOLD_SAMPLERS[holding][0](RngStream(seed, 1), HOLDINGS[holding], size=n)
+    blocked_at = {cap: assert_same_admissions(times, holds, cap) for cap in (1, 2, 20, n - 1, n, n + 1)}
+    assert len(blocked_at[1]) > len(blocked_at[20]) > 0 and not blocked_at[n]
+
+
+def test_departure_at_an_arrival_instant_frees_a_full_place():
+    # the first node departs at 2.0, exactly when the second arrives to the one place
+    times, holds = np.array([1.0, 2.0, 2.5]), np.array([1.0, 1.0, 1.0])
+    assert list(assert_same_admissions(times, holds, 1)) == [2]
+
+
+def test_sub_ulp_holds_depart_at_their_own_arrival():
+    # a hold of 1e-12 vanishes at 1e6, whose ulp is 1.2e-10: each node leaves as it arrives
+    times = np.array([1e6, np.nextafter(1e6, math.inf), 2e6])
+    holds = np.array([1e-12, 1e-12, 1e-12])
+    assert (times + holds == times).all()
+    assert list(assert_same_admissions(times, holds, 1)) == []
+
+
+@pytest.mark.parametrize("capacity", [2, 3])
+def test_departure_overflowing_in_the_first_fill_raises(capacity):
+    # both arrivals find a place; the second's hold of 7.4e307 takes it past the float maximum
+    trace = fixed_trace([1.0, 1.5e308])
+    loc = LocationConfig(capacity, "lomax", ParetoTwoParams(0.0528, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflowed to inf"):
+            simulate_occupancy(trace, loc, ScriptedStream([0.5, 2.0**-54]))

@@ -1,5 +1,6 @@
 """Start-up guards: the runtime depends on numpy alone, no command loads scipy,
-and importing the package starts no BLAS threads.
+importing the package starts no BLAS threads, and only the process entry
+freezes the import-time heap.
 
 scipy is a test dependency only: the tests use it as an oracle. The run-time
 checks need a fresh interpreter, because this test process has scipy loaded
@@ -7,7 +8,9 @@ already; the static check also covers library paths no default command runs.
 """
 
 import ast
+import gc
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -81,3 +84,51 @@ def test_import_starts_no_blas_threads_unless_asked(given):
         assert (value, threads) == ("1", "1")
     else:
         assert value == given  # the user's setting wins; the thread count is then OpenBLAS's
+
+
+ENTRY = """
+import gc
+import runpy
+import sys
+
+sys.argv = ["arrivalab", "simulate", "--horizon", "5", "--out", sys.argv[1]]
+try:
+    runpy.run_module("arrivalab.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, gc.get_freeze_count())
+"""
+
+
+def run_python(code, *args) -> str:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    return proc.stdout
+
+
+def test_the_module_entry_freezes_the_import_heap(tmp_path):
+    summary, status = run_python(ENTRY, str(tmp_path)).splitlines()
+    code, frozen = status.split()
+    assert summary.startswith("simulate: arrivals=") and code == "0" and int(frozen) > 0
+    assert (tmp_path / "manifest.txt").exists()
+
+
+def test_importing_the_cli_freezes_nothing():
+    assert run_python("import gc, arrivalab.cli; print(gc.get_freeze_count())").split() == ["0"]
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(tmp_path):
+    from arrivalab.cli import main
+
+    before = gc.get_freeze_count()
+    assert main(["simulate", "--horizon", "5", "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_module_block_and_script_name_one_entry():
+    cli_source = (SRC / "arrivalab" / "cli.py").read_text(encoding="utf-8")
+    block = re.search(r'^if __name__ == "__main__":\n    (\w+)\(\)\n\Z', cli_source, re.M)
+    # tomllib is 3.11 and later: read the script table as text
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    script = re.search(r'^\[project\.scripts\]\narrivalab = "arrivalab\.cli:(\w+)"$', pyproject, re.M)
+    assert block and script and block[1] == script[1] == "entry_point"
