@@ -14,7 +14,7 @@ import numpy as np
 
 from .distributions import _frozen
 from .errors import DomainError, ParameterError
-from .samplers import FAMILIES, RngStream
+from .samplers import RngStream, _family
 
 __all__ = ["ArrivalTrace", "generate_trace", "fixed_trace"]
 
@@ -52,11 +52,7 @@ def generate_trace(family: str, params, horizon: float, r: RngStream) -> Arrival
     May be empty when the first gap already exceeds the horizon, a valid
     outcome and a common one for heavy-tailed gaps.
     """
-    if family not in FAMILIES:
-        raise ParameterError(f"unknown arrival family {family!r}; expected one of {tuple(FAMILIES)}")
-    sampler, want, _ = FAMILIES[family]
-    if not isinstance(params, want):
-        raise ParameterError(f"family {family!r} needs {want.__name__}, got {type(params).__name__}")
+    sampler = _family("arrival", family, params).sampler
     if not (np.isfinite(horizon) and horizon > 0):
         raise DomainError(f"horizon must be positive and finite, got {horizon!r}")
 

@@ -212,7 +212,7 @@ def _cmd_simulate(args) -> int:
         params_desc = f"times={','.join(repr(t) for t in times)}"
     else:
         family = extra.get("family", "exponential")
-        params_type = FAMILIES[family][1]
+        params_type = FAMILIES[family].params
         # only the family's own fields: a sweep list it never reads may hold many values
         values = {f.name: _single(cfg, *_SIMULATE_FIELDS[f.name]) for f in dataclasses.fields(params_type)}
         params = params_type(**values)

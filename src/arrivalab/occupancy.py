@@ -18,9 +18,9 @@ from heapq import heapify, heapreplace
 import numpy as np
 
 from .arrivals import ArrivalTrace
-from .distributions import _frozen, _integer
+from .distributions import ExponentialParams, _frozen, _integer
 from .errors import DomainError, ParameterError
-from .samplers import FAMILIES, RngStream, _check_largest_draw
+from .samplers import FAMILIES, RngStream, _check_largest_draw, _family
 
 __all__ = [
     "HOLDING_FAMILIES",
@@ -56,14 +56,10 @@ class LocationConfig:
             if self.holding_params is not None:
                 raise ParameterError("infinite holding takes no parameters")
             return
-        if fam not in HOLDING_FAMILIES:
-            raise ParameterError(f"unknown holding family {fam!r}; expected one of {HOLDING_FAMILIES}")
-        want, params = FAMILIES[fam][1], self.holding_params
-        if params is None and fam == "exponential":
-            params = want(1.0)
-        if not isinstance(params, want):  # no Lomax default: Lomax(1, 1) has an infinite mean
-            got = "no params" if params is None else type(params).__name__
-            raise ParameterError(f"holding family {fam!r} needs {want.__name__}, got {got}")
+        params = self.holding_params
+        if params is None and fam == "exponential":  # no Lomax default: Lomax(1, 1) has an infinite mean
+            params = ExponentialParams(1.0)
+        _family("holding", fam, params, HOLDING_FAMILIES)
         _check_largest_draw(fam, params, f"holding law {fam} {params} can draw an infinite hold")
         object.__setattr__(self, "holding_params", params)
 
@@ -133,7 +129,7 @@ def simulate_occupancy(trace: ArrivalTrace, loc: LocationConfig, r: RngStream) -
         admitted = min(len(trace), loc.capacity or len(trace))
         breakpoints, counts = times[:admitted], np.arange(1, admitted + 1)
     else:
-        hold_sampler = FAMILIES[loc.holding_family][0]
+        hold_sampler = FAMILIES[loc.holding_family].sampler
         holds = hold_sampler(r, loc.holding_params, size=len(trace))
         if loc.capacity is not None:
             blocked = _admissions(times, holds, loc.capacity)

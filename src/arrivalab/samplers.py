@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .errors import ParameterError
 
 __all__ = [
     "FAMILIES",
+    "Family",
     "RngStream",
     "exponential_from_uniform",
     "pareto1_from_uniform",
@@ -67,7 +69,7 @@ class RngStream:
         self._gen = np.random.Generator(np.random.Philox(key))
 
     def uniform_open(self, size=None):
-        """Uniform draw(s) on the open interval (0, 1)."""
+        """Uniform draw(s) in (0, 1]: never 0, and exactly 1 at ``k = 2**53 - 1`` (class docstring)."""
         u = self._gen.random(size)
         u += SMALLEST_UNIFORM  # in place for a block; a scalar is rebound
         return u
@@ -117,21 +119,38 @@ def sample_lomax(r: RngStream, p: ParetoTwoParams, size=None):
 pareto1_from_uniform, sample_pareto1 = lomax_from_uniform, sample_lomax
 
 
-# the one registry of continuous families: name -> (sampler, params type,
-# inverse transform), where the sampler is the inverse at a stream's uniforms.
-# Arrival gaps may come from any of them, holding times from exponential and
-# lomax (see ``occupancy.HOLDING_FAMILIES``).
+class Family(NamedTuple):
+    """A continuous family: ``sampler`` is ``inverse`` at a stream's uniforms, and both take ``params``."""
+
+    sampler: Callable
+    params: type
+    inverse: Callable
+
+
+# the one registry of continuous families: arrival gaps may use any, holds those in HOLDING_FAMILIES
 FAMILIES = {
-    "exponential": (sample_exponential, ExponentialParams, exponential_from_uniform),
-    "pareto1": (sample_pareto1, ParetoOneParams, pareto1_from_uniform),
-    "lomax": (sample_lomax, ParetoTwoParams, lomax_from_uniform),
+    "exponential": Family(sample_exponential, ExponentialParams, exponential_from_uniform),
+    "pareto1": Family(sample_pareto1, ParetoOneParams, pareto1_from_uniform),
+    "lomax": Family(sample_lomax, ParetoTwoParams, lomax_from_uniform),
 }
+
+
+def _family(role: str, name: str, params, names=FAMILIES) -> Family:
+    """``FAMILIES[name]``; a ``ParameterError`` naming the ``role`` unless ``name`` is in ``names``
+    and ``params`` is of its params type."""
+    if name not in names:
+        raise ParameterError(f"unknown {role} family {name!r}; expected one of {tuple(names)}")
+    family = FAMILIES[name]
+    if not isinstance(params, family.params):
+        got = "no params" if params is None else type(params).__name__
+        raise ParameterError(f"{role} family {name!r} needs {family.params.__name__}, got {got}")
+    return family
 
 
 def _check_largest_draw(family: str, params, claim: str) -> None:
     """Raise ``ParameterError`` with ``claim`` if the largest draw of ``family`` at
     ``params``, its inverse transform at ``SMALLEST_UNIFORM``, overflows to inf."""
-    if not math.isfinite(float(FAMILIES[family][2](SMALLEST_UNIFORM, params))):
+    if not math.isfinite(float(FAMILIES[family].inverse(SMALLEST_UNIFORM, params))):
         raise ParameterError(f"{claim}: its largest draw, at the smallest stream uniform 2**-54, "
                              f"must not exceed the float maximum {sys.float_info.max:.6g}")
 

@@ -73,7 +73,8 @@ class TestGenerateTrace:
     def test_rejects_unknown_family_and_wrong_params(self):
         with pytest.raises(ParameterError):
             generate_trace("weibull", ExponentialParams(1.0), 10.0, RngStream(0, 0))
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^arrival family 'pareto1' needs ParetoOneParams, "
+                                                 r"got ExponentialParams$"):
             generate_trace("pareto1", ExponentialParams(1.0), 10.0, RngStream(0, 0))
 
     def test_pareto1_and_lomax_keep_their_own_params_types(self):

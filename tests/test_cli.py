@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import arrivalab.experiments
-from arrivalab import FAMILIES, ParameterError
+from arrivalab import FAMILIES, ExponentialParams, ParameterError, RngStream, generate_trace
 from arrivalab.cli import _SIMULATE_FIELDS, KNOWN_CONFIG_KEYS, build_parser, load_config_file, main
 
 
@@ -143,7 +143,11 @@ class TestSimulate:
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text("family = weibull\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "family" in capsys.readouterr().err
+        # the library's own check says the same as the config parser
+        message = "unknown arrival family 'weibull'; expected one of ('exponential', 'pareto1', 'lomax')"
+        assert message in capsys.readouterr().err
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            generate_trace("weibull", ExponentialParams(1.0), 10.0, RngStream(0, 0))
 
     @pytest.mark.parametrize("command", ["simulate", "sweep-rate"])
     def test_config_family_is_checked_when_the_file_is_parsed(self, command, tmp_path, capsys):

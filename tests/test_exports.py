@@ -335,3 +335,56 @@ def test_freezes_outside_frozen_finds_a_copy_block():
 def test_value_objects_freeze_only_through_frozen():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted((ROOT / "src" / "arrivalab").glob("*.py"))}
     assert freezes_outside_frozen(sources) == []
+
+
+def family_reads_by_position(sources: dict[str, str]) -> list[str]:
+    """Reads of a ``FAMILIES[...]`` record by position in ``sources``: an integer index,
+    or an unpacking into a tuple target, assigned or looped over ``FAMILIES.values()``
+    or ``FAMILIES.items()``. A record's fields are read by name."""
+    def is_families(node):
+        return getattr(node, "id", None) == "FAMILIES" or getattr(node, "attr", None) == "FAMILIES"
+
+    def is_record(node):
+        return isinstance(node, ast.Subscript) and is_families(node.value)
+
+    def loops_over(node, view):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == view and is_families(node.func.value)
+
+    unpacks = (ast.Tuple, ast.List)
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Subscript) and is_record(node.value):
+                index = node.slice.operand if isinstance(node.slice, ast.UnaryOp) else node.slice
+                use = isinstance(index, ast.Constant) and isinstance(index.value, int)
+            elif isinstance(node, ast.Assign):
+                use = is_record(node.value) and any(isinstance(t, unpacks) for t in node.targets)
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                target = node.target
+                use = (loops_over(node.iter, "values") and isinstance(target, unpacks)) or (
+                    loops_over(node.iter, "items") and isinstance(target, ast.Tuple)
+                    and isinstance(target.elts[-1], unpacks))
+            else:
+                use = False
+            if use:
+                found.append((module, getattr(node, "lineno", None) or node.target.lineno))
+    return [f"{module} line {line}" for module, line in found]
+
+
+def test_family_reads_by_position_finds_a_read_by_index_and_by_unpacking():
+    sources = {
+        "arrivals.py": "sampler, want, _ = FAMILIES[family]\nx = FAMILIES[family][2]\n"
+                       "y = samplers.FAMILIES[family][-1]\nz = FAMILIES[family].inverse\n"
+                       "record = FAMILIES[family]\nw = FAMILIES[family]['sampler']\n",
+        "cli.py": "for name, (s, p, i) in FAMILIES.items():\n    pass\nfor name, family in FAMILIES.items():\n"
+                  "    pass\nkinds = [p for _, p, _ in FAMILIES.values()]\n"
+                  "names = {name: family.params for name, family in FAMILIES.items()}\n",
+    }
+    assert family_reads_by_position(sources) == [
+        "arrivals.py line 1", "arrivals.py line 2", "arrivals.py line 3", "cli.py line 1", "cli.py line 5",
+    ]
+
+
+def test_no_module_reads_a_family_record_by_position():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted((ROOT / "src" / "arrivalab").glob("*.py"))}
+    assert family_reads_by_position(sources) == []

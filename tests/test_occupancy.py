@@ -11,6 +11,7 @@ from arrivalab import (
     LocationConfig,
     OccupancySeries,
     ParameterError,
+    ParetoOneParams,
     ParetoTwoParams,
     RngStream,
     blocking_fraction,
@@ -164,7 +165,8 @@ class TestConfigValidation:
             LocationConfig(capacity)
 
     def test_rejects_unknown_family(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^unknown holding family 'weibull'; "
+                                                 r"expected one of \('exponential', 'lomax', 'infinite'\)$"):
             LocationConfig(1, "weibull")
 
     def test_rejects_params_with_infinite_hold(self):
@@ -175,10 +177,12 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             LocationConfig(1, "lomax", ExponentialParams(1.0))
 
-    def test_lomax_holding_law_needs_its_params(self):
-        # no default: Lomax(1, 1) has an infinite mean
-        with pytest.raises(ParameterError, match=r"^holding family 'lomax' needs ParetoTwoParams, got no params$"):
-            LocationConfig(3, "lomax")
+    @pytest.mark.parametrize("params, got", [(None, "no params"), (ParetoOneParams(1.5), "ParetoOneParams")])
+    def test_lomax_holding_law_needs_its_params(self, params, got):
+        # no default: Lomax(1, 1) has an infinite mean; pareto1's params carry
+        # scale 1 but are not the Lomax law's
+        with pytest.raises(ParameterError, match=rf"^holding family 'lomax' needs ParetoTwoParams, got {got}$"):
+            LocationConfig(3, "lomax", params)
 
     def test_default_holding_is_unit_rate_exponential(self):
         loc = LocationConfig(2)
@@ -198,8 +202,7 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match=r"infinite hold.*2\*\*-54.*1\.79769e\+308"):
             LocationConfig(None, family, rejected)
         loc = LocationConfig(None, family, accepted)
-        _, _, inverse = FAMILIES[family]
-        assert 7e307 < inverse(SMALLEST_UNIFORM, loc.holding_params) < math.inf
+        assert 7e307 < FAMILIES[family].inverse(SMALLEST_UNIFORM, loc.holding_params) < math.inf
 
 
 class TestSeriesValidationAndExport:

@@ -45,7 +45,7 @@ def seed_simulate_occupancy(trace: ArrivalTrace, loc: LocationConfig, r: RngStre
     """
     infinite = loc.holding_family == INFINITE_HOLD
     if not infinite:
-        hold_sampler, _, _ = _HOLD_SAMPLERS[loc.holding_family]
+        hold_sampler = _HOLD_SAMPLERS[loc.holding_family].sampler
     cap = loc.capacity
 
     departures: list[float] = []
@@ -231,7 +231,7 @@ def assert_matches_seed_loop(trace, loc, uniforms):
 def test_tied_events_match_seed_loop_across_chunks(capacity, seed):
     trace, uniforms = tie_pattern(5000, seed)
     times = trace.times
-    departures = times + _HOLD_SAMPLERS["lomax"][2](np.array(uniforms), TIE_LAW)
+    departures = times + _HOLD_SAMPLERS["lomax"].inverse(np.array(uniforms), TIE_LAW)
     later = departures[departures > times]
     # the three kinds of tie the merge orders: a departure at a later arrival
     # instant, departures sharing one instant, and departures at their own arrival
@@ -293,7 +293,7 @@ def assert_same_admissions(times, holds, cap):
 def test_blocked_only_loop_matches_list_loop(holding, family, seed):
     times = generate_trace(family, ARRIVALS[family], 200.0, RngStream(seed, 0)).times
     n = times.size
-    holds = _HOLD_SAMPLERS[holding][0](RngStream(seed, 1), HOLDINGS[holding], size=n)
+    holds = _HOLD_SAMPLERS[holding].sampler(RngStream(seed, 1), HOLDINGS[holding], size=n)
     blocked_at = {cap: assert_same_admissions(times, holds, cap) for cap in (1, 2, 20, n - 1, n, n + 1)}
     assert len(blocked_at[1]) > len(blocked_at[20]) > 0 and not blocked_at[n]
 

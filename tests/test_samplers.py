@@ -22,6 +22,7 @@ from arrivalab import (
 )
 from arrivalab.samplers import (
     FAMILIES,
+    Family,
     SMALLEST_UNIFORM,
     exponential_from_uniform,
     lomax_from_uniform,
@@ -283,9 +284,9 @@ class TestBlockDrawsEqualScalarDraws:
 
 
 class TestFamilyRegistry:
-    """``FAMILIES`` maps each family name to its sampler, params type and
-    inverse transform, and each sampler is its inverse at the stream's
-    uniforms, bit for bit, scalar and block."""
+    """``FAMILIES`` maps each family name to its ``Family`` record: sampler, params
+    type and inverse transform, read by name. Each sampler is its inverse at the
+    stream's uniforms, bit for bit, scalar and block."""
 
     PARAMS = {
         "exponential": ExponentialParams(0.7),
@@ -294,13 +295,15 @@ class TestFamilyRegistry:
     }
 
     def test_every_family_has_its_params_type(self):
-        assert {name: want for name, (_, want, _) in FAMILIES.items()} == {
+        assert Family._fields == ("sampler", "params", "inverse")
+        assert all(isinstance(family, Family) for family in FAMILIES.values())
+        assert {name: family.params for name, family in FAMILIES.items()} == {
             name: type(p) for name, p in self.PARAMS.items()
         }
 
     @pytest.mark.parametrize("family", sorted(PARAMS))
     def test_sampler_is_the_inverse_at_a_twin_streams_uniforms(self, family):
-        sampler, _, inverse = FAMILIES[family]
+        sampler, inverse = FAMILIES[family].sampler, FAMILIES[family].inverse
         p = self.PARAMS[family]
         r, twin = RngStream(17, 5), RngStream(17, 5)
         scalars = np.array([sampler(r, p) for _ in range(200)])
