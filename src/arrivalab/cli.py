@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import gc
 import sys
 import unicodedata
@@ -30,7 +31,7 @@ from .experiments import (
     run_validation_suite,
 )
 from .occupancy import HOLDING_FAMILIES, blocking_fraction, simulate_occupancy
-from .samplers import FAMILIES, RngStream
+from .samplers import FAMILIES, RngStream, _known
 
 __all__ = ["main", "entry_point", "load_config_file", "KNOWN_CONFIG_KEYS"]
 
@@ -46,14 +47,6 @@ def _floats(raw: str) -> tuple[float, ...]:
 
 def _capacity(raw: str) -> int | None:
     return None if raw.lower() in ("none", "unbounded") else int(raw)
-
-
-def _one_of(names, what: str) -> Callable[[str], str]:
-    def parse(raw: str) -> str:
-        if raw not in names:
-            raise ParameterError(f"unknown {what} {raw!r}; expected one of {tuple(names)}")
-        return raw
-    return parse
 
 
 def _label(raw: str) -> str:
@@ -100,11 +93,11 @@ _KEYS = {
     "node_budget": _Key(int, "--nodes", "node budget: default capacity and sweep-rate's pmf support",
                         "sweep-alpha sweep-rate"),
     "capacity": _Key(_capacity, "--capacity", "location capacity (integer, or 'unbounded' for simulate)", _RUNS),
-    "holding": _Key(_one_of(HOLDING_FAMILIES, "holding family"), "--holding",
+    "holding": _Key(functools.partial(_known, "holding", names=HOLDING_FAMILIES), "--holding",
                     f"holding-time family: {' | '.join(HOLDING_FAMILIES)}", _RUNS),
     "holding_rate": _Key(float, "--holding-rate", "holding-time rate r: exponential(r), mean 1/r; "
                          "lomax runs Lomax(1.5, 1/r), mean 2/r", _RUNS),
-    "family": _Key(_one_of(FAMILIES, "arrival family"), "--family",
+    "family": _Key(functools.partial(_known, "arrival"), "--family",
                    f"arrival-gap family: {' | '.join(FAMILIES)}", "simulate"),
     "arrivals": _Key(_floats, "--arrivals", "comma-separated explicit arrival times (fixture)", "simulate"),
     "label": _Key(_label, "--label", "scenario label echoed into provenance", "simulate"),

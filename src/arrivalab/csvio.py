@@ -7,9 +7,10 @@ with ``\n`` line ends whatever the locale. A CSV field's format comes from its
 column's dtype: ``%d`` for an integer dtype, ``%.17g`` for any other, so floats
 round-trip exactly and a rerun with the same seed is byte-identical. Bulk rows
 are formatted one 4096-row chunk at a time, straight into the file: by a numpy
-kernel that computes ``%.17g`` and ``%d`` exactly in integer arithmetic where
-every value of the chunk prints in fixed notation, else by the ``%`` template
-of those formats (see ``_write_csv``).
+kernel where every value of the chunk prints in fixed notation, else by the
+``%`` template of those formats (see ``_write_csv``). The kernel computes
+``%.17g`` exactly in integer arithmetic, and writes an integer's ``%d`` from
+its own digit words, right-aligned against the separator.
 """
 
 from __future__ import annotations
@@ -45,24 +46,28 @@ def _tables() -> SimpleNamespace:
     loops that a run writing no kernel chunk would otherwise never touch.
 
     ``quad`` and ``quad_tz``: for each group of four digits, 0-9999, its ASCII
-    as bytes 0-3 of a word and its trailing zeros. The layout tables are stored
-    word-major, one row of four words per p * 27 + stop.
+    as bytes 0-3 of a word and its trailing zeros. The float layout tables are
+    stored word-major, one row of four words per p * 27 + stop. ``tens`` holds
+    10 to 1e15, so an integer's place in it is its digit count less one, and
+    ``int_keep`` holds the three keep words of ``_int_words`` for each place,
+    word-major too.
     """
     ascii_, zero = np.arange(48, 58, dtype=np.uint64), (np.arange(10) == 0).astype(np.uint8)
     pow5 = 5 ** np.arange(21, dtype=np.uint64)
     p, stop = (a[:, None] for a in np.divmod(np.arange(26 * 27), 27))
     byte = np.arange(32)
 
-    def words(byte_mask, value=0xFF):  # each 32-byte row of byte_mask as four words, value where it holds
+    def words(byte_mask, value=0xFF):  # each row of byte_mask as its 8-byte words, value where it holds
         return np.ascontiguousarray((byte_mask * np.uint8(value)).view("<u8").T)
 
     return SimpleNamespace(
         quad=(ascii_[:, None, None, None] | ascii_[:, None, None] << 8 | ascii_[:, None] << 16 | ascii_ << 24).ravel(),
         quad_tz=(zero * (1 + zero[:, None] * (1 + zero[:, None, None] * (1 + zero[:, None, None, None])))).ravel(),
-        pow5_hi=pow5 >> 32, pow5_lo=pow5 & 0xFFFFFFFF, pow10=10 ** np.arange(17, dtype=np.int64),
+        pow5_hi=pow5 >> 32, pow5_lo=pow5 & 0xFFFFFFFF,
         before_point=words(byte < p), after_point=words((byte > p) & (byte < stop)),
         point_sep={sep: words((byte == p) & (stop > p), 46) | words(byte == stop, sep) for sep in (44, 10)},
         keep=words((byte >= np.minimum(p - 1, 8)) & (byte <= stop), 1),
+        tens=10 ** np.arange(1, 16, dtype=np.int64), int_keep=words(byte[:24] >= 22 - np.arange(16)[:, None], 1),
     )
 
 
@@ -94,15 +99,17 @@ def _float_digits(v):
     return n.astype(np.int64), x
 
 
-def _int_digits(c):
-    """(n, x) of 0 <= c < 1e16: its digits led by the first, so no point is written."""
-    pow10 = _tables().pow10
-    x = np.maximum(np.searchsorted(pow10, c, "right"), 1) - 1
-    return c * pow10.take(16 - x), x
+def _quads(v):
+    """The four 4-digit groups of int64 0 <= v < 1e16, the first digits first."""
+    hi8 = v // 10**8
+    lo8 = v - hi8 * 10**8
+    g0, g2 = hi8 // 10**4, lo8 // 10**4
+    return g0, hi8 - g0 * 10**4, g2, lo8 - g2 * 10**4
 
 
 def _field_words(n, x, sep):
-    """[(text, keep), ...] for the words of one field that some row of the chunk uses.
+    """[(text, keep), ...] for the words of one float field, as ``_float_digits``
+    gives its (n, x), that some row of the chunk uses.
 
     A field is built in 32 bytes, four little-endian words: "0000" at bytes 4-7
     and the 17 digits of n at 8-24, n * 10**(x - 16) being the value rounded to
@@ -111,10 +118,7 @@ def _field_words(n, x, sep):
     those after it move up one byte.
     """
     q = n // 10
-    hi8 = q // 10**8
-    lo8 = q - hi8 * 10**8
-    g0, g2 = hi8 // 10**4, lo8 // 10**4
-    g1, g3 = hi8 - g0 * 10**4, lo8 - g2 * 10**4
+    g0, g1, g2, g3 = _quads(q)
     unit = n - q * 10
     t = _tables()
     zeros = (unit == 0) * (1 + t.quad_tz.take(g3) + (g3 == 0) * (
@@ -132,6 +136,30 @@ def _field_words(n, x, sep):
     return out
 
 
+def _int_words(c, sep):
+    """[(text, keep), ...] for the words of one integer field, 0 <= c < 1e16,
+    that some row of the chunk uses.
+
+    A field is built in 24 bytes, three little-endian words: the 16 digits of
+    c, zero-padded, at bytes 7-22 and the separator at byte 23, so a chunk
+    below 1e7 needs the last word only. Its text is its d digits and the
+    separator, bytes 23 - d to 23, where 0 has one digit.
+    """
+    t = _tables()
+    c = c.astype(np.int64, copy=False)
+    top = int(np.searchsorted(t.tens, c.max(), "right"))  # the chunk's most digits, less one
+    d = np.searchsorted(t.tens[:top], c, "right")
+    g0, g1, g2, g3 = _quads(c)
+    b = t.quad.take(g2) | t.quad.take(g3) << 32
+    words = [b >> 8 | np.uint64(sep << 56)]
+    if top >= 7:  # some value has 8 digits or more: the middle word, and the first at 16
+        a = t.quad.take(g0) | t.quad.take(g1) << 32
+        words.insert(0, a >> 8 | b << 56)
+        if top == 15:
+            words.insert(0, a << 56)
+    return [(w, t.int_keep[i].take(d)) for i, w in enumerate(words, 3 - len(words))]
+
+
 def _fits(part: np.ndarray) -> bool:
     if part.dtype.kind in "iu":
         return part.min() >= 0 and part.max() < 10**16
@@ -140,12 +168,15 @@ def _fits(part: np.ndarray) -> bool:
 
 def _kernel_rows(parts) -> np.ndarray | None:
     """The chunk's rows as ``_write_csv``'s template writes them, or None unless each integer
-    field is in [0, 1e16) and each other one float64 in [1e-4, 1e17), where %g prints fixed notation."""
+    field is in [0, 1e16) and each other one float64 in [1e-4, 1e17), where %g prints fixed notation.
+
+    Each field gives the words some row of the chunk uses, integers by ``_int_words`` and
+    floats by ``_field_words``; the rows are those words side by side, less the bytes not kept."""
     if not all(map(_fits, parts)):
         return None
-    fields = [_int_digits(part.astype(np.int64)) if part.dtype.kind in "iu" else _float_digits(part)
-              for part in parts]
-    words = [w for i, f in enumerate(fields) for w in _field_words(*f, 10 if i == len(fields) - 1 else 44)]
+    seps = [44] * (len(parts) - 1) + [10]
+    words = [w for part, sep in zip(parts, seps)
+             for w in (_int_words(part, sep) if part.dtype.kind in "iu" else _field_words(*_float_digits(part), sep))]
     text, keep = (np.column_stack(c).astype("<u8", copy=False).view(np.uint8).ravel() for c in zip(*words))
     return text[keep.view(np.bool_)]
 

@@ -135,12 +135,17 @@ FAMILIES = {
 }
 
 
+def _known(role: str, name: str, names=FAMILIES) -> str:
+    """``name``; a ``ParameterError`` naming the ``role`` unless it is in ``names``."""
+    if name not in names:
+        raise ParameterError(f"unknown {role} family {name!r}; expected one of {tuple(names)}")
+    return name
+
+
 def _family(role: str, name: str, params, names=FAMILIES) -> Family:
     """``FAMILIES[name]``; a ``ParameterError`` naming the ``role`` unless ``name`` is in ``names``
     and ``params`` is of its params type."""
-    if name not in names:
-        raise ParameterError(f"unknown {role} family {name!r}; expected one of {tuple(names)}")
-    family = FAMILIES[name]
+    family = FAMILIES[_known(role, name, names)]
     if not isinstance(params, family.params):
         got = "no params" if params is None else type(params).__name__
         raise ParameterError(f"{role} family {name!r} needs {family.params.__name__}, got {got}")

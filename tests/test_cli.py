@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import arrivalab.experiments
-from arrivalab import FAMILIES, ExponentialParams, ParameterError, RngStream, generate_trace
+from arrivalab import (
+    FAMILIES, ExponentialParams, LocationConfig, ParameterError, ParetoOneParams, RngStream, generate_trace,
+)
 from arrivalab.cli import _SIMULATE_FIELDS, KNOWN_CONFIG_KEYS, build_parser, load_config_file, main
 
 
@@ -148,6 +150,16 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             generate_trace("weibull", ExponentialParams(1.0), 10.0, RngStream(0, 0))
+
+    def test_rejects_unknown_holding_family_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("holding = pareto1\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        # the holding law's own check says the same as the config parser
+        message = "unknown holding family 'pareto1'; expected one of ('exponential', 'lomax', 'infinite')"
+        assert message in capsys.readouterr().err
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            LocationConfig(holding_family="pareto1", holding_params=ParetoOneParams(1.5))
 
     @pytest.mark.parametrize("command", ["simulate", "sweep-rate"])
     def test_config_family_is_checked_when_the_file_is_parsed(self, command, tmp_path, capsys):

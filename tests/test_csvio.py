@@ -12,7 +12,10 @@ signed zero, infinities, nan and the point where ``%g`` switches to exponent
 form (1e16 against 1e17). The kernel's own cases are the edges of its range,
 every power of ten and binade edge in it with their neighbours, integral
 floats, exact ties at the 18th digit, a million random bit patterns, and a
-chunk with one value outside the range between two that are inside.
+chunk with one value outside the range between two that are inside. Its
+integer path is held to ``%d`` on 0, every power of ten with its neighbours,
+100k random values of each digit count, chunks that mix 1 and 16 digits, each
+integer dtype, and both separators.
 """
 
 import hashlib
@@ -316,3 +319,57 @@ def test_one_count_outside_the_range_sends_only_its_chunk_to_the_template(count,
     path = _write_csv(tmp_path / "t.csv", {}, "count,time", counts, times)
     assert data_after(path, "count,time") == "".join(f"{c},{old_float(t)}\n" for c, t in zip(counts.tolist(), times))
     assert kernel_chunks == [True, False, True]
+
+
+# ---- the kernel's integer path: indices and counts in [0, 1e16) ------------
+
+INT_DTYPES = (np.int64, np.intp, np.uint64)
+WIDEST = 10**16 - 1
+
+
+def assert_integers_written_as_d(values, dtype=np.int64):
+    """``values`` as an integer column, through the kernel, with each separator:
+    last in the row and before a float column. The bytes are ``%d``'s."""
+    column = np.asarray(values, dtype=dtype)
+    ones = np.ones(len(column))
+    expected = ("%d\n" * len(column)) % tuple(column.tolist())
+    assert csvio._kernel_rows([column]).tobytes() == expected.encode()
+    assert csvio._kernel_rows([column, ones]).tobytes() == expected.replace("\n", ",1\n").encode()
+
+
+@pytest.mark.parametrize("dtype", INT_DTYPES)
+def test_zero_and_each_power_of_ten_with_its_neighbours(dtype):
+    tens = [10**k for k in range(17)]
+    values = sorted({v for t in tens for v in (t - 1, t, t + 1) if 0 <= v <= WIDEST})
+    assert values[0] == 0 and values[-1] == WIDEST
+    assert_integers_written_as_d(values, dtype)
+    for v in values:  # each value alone sets the chunk's widest field
+        assert_integers_written_as_d([v], dtype)
+
+
+@pytest.mark.parametrize("digits", range(1, 17))
+def test_random_integers_of_each_digit_count(digits):
+    lo = 0 if digits == 1 else 10 ** (digits - 1)
+    assert_integers_written_as_d(np.random.default_rng(digits).integers(lo, 10**digits, size=100_000))
+
+
+@pytest.mark.parametrize("dtype", INT_DTYPES)
+def test_a_chunk_mixing_one_digit_with_sixteen(dtype):
+    assert_integers_written_as_d([7, WIDEST, 0, 1234567890123456, 5, 10**15, 9], dtype)
+    assert_integers_written_as_d([0, 10**7, 3, 10**8 - 1], dtype)
+
+
+@settings(deadline=None)
+@given(values=st.lists(st.integers(0, WIDEST), min_size=1, max_size=60))
+def test_any_integer_in_range_is_written_by_the_kernel_as_d_writes_it(values):
+    assert_integers_written_as_d(values)
+
+
+@pytest.mark.parametrize("dtype", INT_DTYPES)
+@pytest.mark.parametrize("widest,words", [(10**7 - 1, 1), (10**15 - 1, 2), (WIDEST, 3)])
+def test_integer_words_stay_uint64(dtype, widest, words):
+    # numpy turns a uint64 mixed with an int64 into a float64, with or without
+    # NEP 50, and the kernel would then reinterpret the float's bits as text
+    out = csvio._int_words(np.array([0, 5, widest], dtype=dtype), 44)
+    assert len(out) == words
+    assert all(text.dtype == keep.dtype == np.uint64 for text, keep in out)
